@@ -158,7 +158,7 @@ class CampaignReport:
         ]
         for line in self.batch.summary().splitlines():
             if not include_timing and line.startswith(
-                ("time:", "solver:", "session:", "portfolio:")
+                ("time:", "solver:", "session:")
             ):
                 continue
             lines.append(line)
@@ -197,12 +197,8 @@ class CampaignStatus:
     #: duplicate results dropped by first-write-wins acceptance.
     duplicates: int = 0
     #: merged incremental-solving counters (None when no function used a
-    #: solver session): scope label, checks, clauses_reused, subsumed,
-    #: strengthened, evicted, probe_failed_literals.
+    #: solver session): checks, clauses_reused.
     session_counters: dict | None = None
-    #: merged portfolio counters (None when no portfolio race ran):
-    #: queries, wins-by-config, vars_eliminated, clauses_blocked.
-    portfolio_counters: dict | None = None
     #: the target ISA recorded in the campaign manifest.
     target: str = "vx86"
 
@@ -235,28 +231,8 @@ class CampaignStatus:
         if self.session_counters:
             counters = self.session_counters
             lines.append(
-                f"session: scope={counters['scope'] or 'point'}"
-                f" checks={counters['checks']}"
+                f"session: checks={counters['checks']}"
                 f" clauses_reused={counters['clauses_reused']}"
-                f" subsumed={counters['subsumed']}"
-                f" strengthened={counters['strengthened']}"
-                f" evicted={counters['evicted']}"
-                f" probe_failed_literals={counters['probe_failed_literals']}"
-            )
-        if self.portfolio_counters:
-            counters = self.portfolio_counters
-            wins = " ".join(
-                f"{name}={count}"
-                for name, count in sorted(counters["wins"].items())
-            )
-            lines.append(
-                f"portfolio: mode={counters['mode'] or 'interleave'}"
-                f" queries={counters['queries']}"
-                f" probe_decided={counters['probe_decided']}"
-                f" escalations={counters['escalations']}"
-                f" wins=[{wins}]"
-                f" vars_eliminated={counters['vars_eliminated']}"
-                f" clauses_blocked={counters['clauses_blocked']}"
             )
         if self.halts:
             lines.append(f"halts: {self.halts}")
@@ -291,7 +267,6 @@ def build_status(manifest: dict, state: JournalState) -> CampaignStatus:
         worker_deaths=state.worker_deaths,
         duplicates=state.duplicates,
         session_counters=session_counters(report.batch.solver_stats),
-        portfolio_counters=portfolio_counters(report.batch.solver_stats),
         target=manifest.get("target", "vx86"),
     )
 
@@ -302,27 +277,6 @@ def session_counters(stats) -> dict | None:
     if not stats or not stats.incremental_checks:
         return None
     return {
-        "scope": stats.session_scope,
         "checks": stats.incremental_checks,
         "clauses_reused": stats.clauses_reused,
-        "subsumed": stats.clauses_subsumed,
-        "strengthened": stats.clauses_strengthened,
-        "evicted": stats.clauses_evicted,
-        "probe_failed_literals": stats.probe_failed_literals,
-    }
-
-
-def portfolio_counters(stats) -> dict | None:
-    """Render-ready portfolio-race counters, or None when the merged stats
-    show no portfolio activity (``--portfolio 1`` runs)."""
-    if not stats or not stats.portfolio_queries:
-        return None
-    return {
-        "mode": stats.portfolio_mode,
-        "queries": stats.portfolio_queries,
-        "probe_decided": stats.portfolio_probe_decided,
-        "escalations": stats.portfolio_escalations,
-        "wins": dict(sorted(stats.portfolio_wins_by_config.items())),
-        "vars_eliminated": stats.vars_eliminated,
-        "clauses_blocked": stats.clauses_blocked,
     }

@@ -11,9 +11,8 @@ Section 2).  It provides:
   learning, VSIDS branching, Luby restarts).
 - :mod:`repro.smt.bitblast` — a Tseitin bit-blaster from terms to CNF.
 - :mod:`repro.smt.solver` — the solver façade used by KEQ, including the
-  paper's positive-form query optimization (Section 3).
-- :mod:`repro.smt.portfolio` — a first-answer-wins race of diverse solver
-  configurations (``Solver(portfolio=N)``).
+  paper's positive-form query optimization (Section 3), and the
+  incremental :class:`~repro.smt.solver.SolverSession`.
 """
 
 from repro.smt.terms import (
@@ -30,18 +29,9 @@ from repro.smt.terms import (
 )
 from repro.smt import terms as t
 from repro.smt.simplify import simplify, substitute
-from repro.smt.portfolio import (
-    DEFAULT_PROBE_CONFLICTS,
-    MODES as PORTFOLIO_MODES,
-    PortfolioMember,
-    PortfolioResult,
-    portfolio_members,
-    run_portfolio,
-)
 from repro.smt.solver import (
     QueryStats,
     Result,
-    SessionCore,
     Solver,
     canonical_assumption_order,
 )
@@ -49,16 +39,9 @@ from repro.smt.cache import CacheStats, QueryCache
 
 __all__ = [
     "CacheStats",
-    "DEFAULT_PROBE_CONFLICTS",
-    "PORTFOLIO_MODES",
-    "PortfolioMember",
-    "PortfolioResult",
     "QueryCache",
     "QueryStats",
-    "SessionCore",
     "canonical_assumption_order",
-    "portfolio_members",
-    "run_portfolio",
     "BOOL",
     "BV1",
     "BV8",

@@ -21,25 +21,7 @@ This is the decision procedure at the bottom of the reproduction's SMT stack
   *unsat core* (the subset of assumptions the refutation used) in
   :attr:`SatSolver.core`;
 - a conflict budget so callers can emulate the paper's per-function
-  timeouts deterministically;
-- a bounded learned-clause store: learned clauses carry an LBD (literal
-  block distance) and :meth:`SatSolver.reduce_learned` evicts the weakest
-  ones so long-lived incremental sessions keep flat memory;
-- bounded *inprocessing* (:meth:`SatSolver.inprocess`): clause
-  subsumption, self-subsuming resolution, and failed-literal probing run
-  under a propagation budget between incremental solve calls, so the
-  retained clause database gets smaller and stronger instead of merely
-  larger;
-- opt-in *elimination* inprocessing (``inprocess(eliminate=True)``):
-  blocked-clause elimination and bounded variable elimination under the
-  same budget.  Both preserve satisfiability but not logical
-  equivalence, so the solver records the removed clauses for model
-  reconstruction and *seals* itself — no further external clauses may be
-  added.  Portfolio members (one-shot fresh solves) use this; long-lived
-  incremental sessions never do;
-- search diversification via :class:`SolverConfig` (initial phase,
-  deterministic VSIDS activity seeding, Luby vs geometric restarts) so a
-  portfolio can race structurally different searches over one encoding.
+  timeouts deterministically.
 
 Literals use the DIMACS convention: variables are positive integers and a
 negated literal is the negated integer.
@@ -48,8 +30,7 @@ negated literal is the negated integer.
 from __future__ import annotations
 
 import heapq
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 UNASSIGNED = 0
@@ -88,63 +69,25 @@ class Stats:
     conflicts: int = 0
     learned: int = 0
     restarts: int = 0
-    max_vars: int = 0
     solve_calls: int = 0
-    #: learned clauses evicted by :meth:`SatSolver.reduce_learned`
-    evicted: int = 0
-    #: clauses removed because another clause subsumes them
-    subsumed: int = 0
-    #: literals removed by self-subsuming resolution
-    strengthened: int = 0
-    #: root units derived by failed-literal probing
-    probe_failed: int = 0
-    #: :meth:`SatSolver.inprocess` passes that actually ran
-    inprocessings: int = 0
-    #: variables removed by bounded variable elimination
-    vars_eliminated: int = 0
-    #: clauses removed by blocked-clause elimination
-    clauses_blocked: int = 0
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Search-diversification knobs for one solver instance.
-
-    The defaults reproduce the historical single-configuration behaviour
-    exactly; portfolio members construct variants.  All diversification is
-    deterministic — the activity seed feeds a CRC, not a PRNG stream.
-    """
-
-    #: initial saved phase for every variable (phase saving overwrites it
-    #: as search proceeds)
-    default_polarity: bool = False
-    #: nonzero: give each new variable a tiny CRC-derived activity nudge so
-    #: early VSIDS tie-breaks differ between members (0 disables)
-    activity_seed: int = 0
-    #: ``"luby"`` (default) or ``"geometric"``
-    restart_policy: str = "luby"
-    #: conflicts before the first restart
-    restart_base: int = 32
-    #: growth factor for the geometric policy
-    restart_growth: float = 1.5
-    #: VSIDS activity decay per conflict
-    var_decay: float = 0.95
+#: conflicts before the first restart (scaled by the Luby sequence)
+RESTART_BASE = 32
+#: VSIDS activity decay per conflict
+VAR_DECAY = 0.95
 
 
 @dataclass
 class _Clause:
     literals: list[int]
     learned: bool = False
-    activity: float = field(default=0.0)
-    #: literal block distance at learn time (eviction quality signal)
-    lbd: int = 0
 
 
 class SatSolver:
     """CDCL solver over clauses added with :meth:`add_clause`."""
 
-    def __init__(self, config: SolverConfig | None = None) -> None:
-        self._config = config or SolverConfig()
+    def __init__(self) -> None:
         self._num_vars = 0
         self._clauses: list[_Clause] = []
         # watches[lit] = clauses watching literal `lit` (encoded index below)
@@ -157,17 +100,9 @@ class SatSolver:
         self._prop_head = 0
         self._activity: list[float] = [0.0]
         self._var_inc = 1.0
-        self._var_decay = self._config.var_decay
         self._heap: list[tuple[float, int]] = []
-        self._polarity: list[bool] = [self._config.default_polarity]
+        self._polarity: list[bool] = [False]
         self._ok = True
-        #: set once elimination inprocessing has run: the clause database is
-        #: then only equisatisfiable with the original problem, so adding
-        #: further external clauses would be unsound.
-        self._sealed = False
-        #: model-reconstruction records for eliminated/blocked clauses:
-        #: ``(witness_literal, literals)`` in elimination order.
-        self._elim_stack: list[tuple[int, list[int]]] = []
         #: unit clauses received while the trail was not at the root level
         #: (e.g. a caller encoding a new goal right after a SAT answer);
         #: flushed at the next root visit so no constraint is ever lost.
@@ -185,14 +120,9 @@ class SatSolver:
         self._assign.append(UNASSIGNED)
         self._level.append(0)
         self._reason.append(None)
-        activity = 0.0
-        if self._config.activity_seed:
-            crc = zlib.crc32(b"%d:%d" % (self._config.activity_seed, self._num_vars))
-            activity = (crc & 0xFFFF) * 1e-9
-        self._activity.append(activity)
-        self._polarity.append(self._config.default_polarity)
-        heapq.heappush(self._heap, (-activity, self._num_vars))
-        self.stats.max_vars = self._num_vars
+        self._activity.append(0.0)
+        self._polarity.append(False)
+        heapq.heappush(self._heap, (0.0, self._num_vars))
         return self._num_vars
 
     def ensure_vars(self, count: int) -> None:
@@ -207,11 +137,6 @@ class SatSolver:
         clause arriving while the trail is deep is parked in
         ``_pending_units`` rather than mis-assigned at the current level.
         """
-        if self._sealed:
-            raise RuntimeError(
-                "solver is sealed: clauses cannot be added after "
-                "variable/blocked-clause elimination"
-            )
         if not self._ok:
             return
         seen: set[int] = set()
@@ -253,490 +178,19 @@ class SatSolver:
         self._backtrack(0)
         self._flush_pending_units()
 
-    @property
-    def num_learned(self) -> int:
-        """Learned clauses currently in the database (evictions deducted)."""
-        return sum(1 for clause in self._clauses if clause.learned)
-
     def _store_learned(self, learned: list[int]) -> _Clause | None:
         """Record a learned clause in the database; units are parked so the
         next root visit asserts them.  Returns the clause, or None for a
-        unit.  The LBD is the number of distinct decision levels among the
-        clause's literals at learn time (lower is better)."""
+        unit."""
         if len(learned) == 1:
             self._pending_units.append(learned[0])
             return None
-        clause = _Clause(
-            learned,
-            learned=True,
-            lbd=len({self._level[abs(lit)] for lit in learned}),
-        )
+        clause = _Clause(learned, learned=True)
         self._clauses.append(clause)
         self.stats.learned += 1
         self._watch(clause, learned[0])
         self._watch(clause, learned[1])
         return clause
-
-    # -- learned-clause store maintenance -------------------------------------
-
-    def reduce_learned(self, cap: int) -> int:
-        """Evict the weakest learned clauses until at most ``cap`` remain.
-
-        Quality order is (LBD, length, age): glue clauses (LBD ≤ 2) are
-        always kept, as are clauses currently acting as a propagation
-        reason.  Must be called at the root level (callers use
-        :meth:`reset_to_root` first).  Returns the number evicted.
-        """
-        if not self._ok or self._trail_lim:
-            return 0
-        learned = [clause for clause in self._clauses if clause.learned]
-        if len(learned) <= cap:
-            return 0
-        locked = {
-            id(self._reason[abs(lit)])
-            for lit in self._trail
-            if self._reason[abs(lit)] is not None
-        }
-        ranked = sorted(learned, key=lambda c: (c.lbd, len(c.literals)))
-        keep: set[int] = set()
-        for clause in ranked:
-            if len(keep) < cap or clause.lbd <= 2 or id(clause) in locked:
-                keep.add(id(clause))
-        evicted = len(learned) - len(keep)
-        if evicted == 0:
-            return 0
-        self._clauses = [
-            clause
-            for clause in self._clauses
-            if not clause.learned or id(clause) in keep
-        ]
-        self.stats.evicted += evicted
-        self._rebuild_watches()
-        return evicted
-
-    def _rebuild_watches(self) -> None:
-        """Re-watch the first two literals of every clause.
-
-        Only valid when every in-database clause has its first two literals
-        unassigned at the root (guaranteed after :meth:`_simplify_db`, and
-        preserved by clause deletion/strengthening at the root level).
-        """
-        self._watches = {}
-        for clause in self._clauses:
-            self._watch(clause, clause.literals[0])
-            self._watch(clause, clause.literals[1])
-
-    def _simplify_db(self) -> None:
-        """Remove root-satisfied clauses and root-falsified literals.
-
-        Precondition: root level, unit propagation at fixpoint.  After the
-        pass every stored clause contains only root-unassigned literals, so
-        watching positions 0/1 is always valid.
-        """
-        kept: list[_Clause] = []
-        for clause in self._clauses:
-            new_lits: list[int] = []
-            satisfied = False
-            for lit in clause.literals:
-                value = self._value(lit)
-                if value != UNASSIGNED and self._level[abs(lit)] == 0:
-                    if value == TRUE:
-                        satisfied = True
-                        break
-                    continue  # root-falsified: drop the literal
-                new_lits.append(lit)
-            if satisfied:
-                continue
-            if not new_lits:
-                self._ok = False
-                return
-            if len(new_lits) == 1:
-                self._pending_units.append(new_lits[0])
-                continue
-            clause.literals = new_lits
-            kept.append(clause)
-        self._clauses = kept
-        self._rebuild_watches()
-        self._flush_pending_units()
-        if self._ok and self._propagate() is not None:
-            self._ok = False
-
-    def inprocess(
-        self, propagation_budget: int = 20_000, eliminate: bool = False
-    ) -> None:
-        """Bounded inprocessing between incremental solve calls.
-
-        Runs, in order and under one shared budget: database
-        simplification against root facts, clause subsumption with
-        self-subsuming resolution, and failed-literal probing.  Every
-        derived fact is implied by the clause database alone, so the pass
-        is sound for later solves under any assumptions.  Deterministic:
-        candidate orders are value-based, never id()- or hash-ordered.
-
-        With ``eliminate=True`` the pass additionally runs blocked-clause
-        elimination and bounded variable elimination.  Those only preserve
-        *satisfiability*: removed clauses are recorded for model
-        reconstruction and the solver is sealed against further external
-        clauses, so this mode is reserved for one-shot (portfolio) solves
-        — incremental sessions must not use it.
-        """
-        if not self._ok:
-            return
-        self._backtrack(0)
-        self._flush_pending_units()
-        if not self._ok:
-            return
-        if self._propagate() is not None:
-            self._ok = False
-            return
-        self.stats.inprocessings += 1
-        self._simplify_db()
-        if not self._ok:
-            return
-        remaining = self._subsume(propagation_budget)
-        if not self._ok:
-            return
-        if eliminate:
-            # Subsumption may have derived new root facts; re-simplify so
-            # the elimination passes see only root-unassigned literals.
-            self._simplify_db()
-            if not self._ok:
-                return
-            remaining = self._block_clauses(remaining)
-            if not self._ok:
-                return
-            remaining = self._eliminate_variables(remaining)
-            if not self._ok:
-                return
-        self._probe_failed_literals(remaining)
-
-    #: clauses longer than this are invisible to the subsumption pass
-    _SUBSUME_MAX_LEN = 24
-
-    def _subsume(self, budget: int) -> int:
-        """Subsumption and self-subsuming resolution over short clauses.
-
-        For each clause C (shortest first): any clause D ⊇ C is deleted,
-        and any D containing all of C but with one literal negated is
-        strengthened by removing that literal (the resolvent of C and D
-        subsumes D).  Each subset test costs one budget unit; returns the
-        unspent budget.
-        """
-        short = [
-            clause
-            for clause in self._clauses
-            if len(clause.literals) <= self._SUBSUME_MAX_LEN
-        ]
-        occurrences: dict[int, list[_Clause]] = {}
-        signatures: dict[int, int] = {}
-        for clause in short:
-            signature = 0
-            for lit in clause.literals:
-                signature |= 1 << (abs(lit) & 63)
-                occurrences.setdefault(lit, []).append(clause)
-            signatures[id(clause)] = signature
-        removed: set[int] = set()
-
-        def subset(small: list[int], big: list[int]) -> bool:
-            return set(small) <= set(big)
-
-        changed = False
-        for clause in sorted(short, key=lambda c: len(c.literals)):
-            if budget <= 0:
-                break
-            if id(clause) in removed:
-                continue
-            lits = clause.literals
-            signature = signatures[id(clause)]
-            pivot = min(lits, key=lambda l: len(occurrences.get(l, ())))
-            for other in occurrences.get(pivot, ()):
-                if budget <= 0:
-                    break
-                if other is clause or id(other) in removed:
-                    continue
-                if len(other.literals) < len(lits):
-                    continue
-                if signature & ~signatures[id(other)]:
-                    continue
-                budget -= 1
-                if subset(lits, other.literals):
-                    removed.add(id(other))
-                    self.stats.subsumed += 1
-            for lit in lits:
-                if budget <= 0:
-                    break
-                rest = [l for l in lits if l != lit]
-                for other in occurrences.get(-lit, ()):
-                    if budget <= 0:
-                        break
-                    if other is clause or id(other) in removed:
-                        continue
-                    if len(other.literals) < len(lits):
-                        continue
-                    if signature & ~signatures[id(other)]:
-                        continue
-                    budget -= 1
-                    if -lit in other.literals and subset(rest, other.literals):
-                        other.literals.remove(-lit)
-                        self.stats.strengthened += 1
-                        changed = True
-                        if len(other.literals) == 1:
-                            self._pending_units.append(other.literals[0])
-                            removed.add(id(other))
-        if removed or changed:
-            self._clauses = [
-                clause for clause in self._clauses if id(clause) not in removed
-            ]
-            self._rebuild_watches()
-        self._flush_pending_units()
-        if self._ok and self._propagate() is not None:
-            self._ok = False
-        return budget
-
-    #: per-variable occurrence-product cap for bounded variable elimination
-    _ELIM_MAX_RESOLUTIONS = 16
-
-    def _block_clauses(self, budget: int) -> int:
-        """Blocked-clause elimination over short original clauses.
-
-        A clause C is blocked on a literal l when every resolvent of C with
-        a clause containing -l is tautological; removing C preserves
-        satisfiability.  Each resolvent check costs one budget unit.  Every
-        removal pushes a model-reconstruction record and seals the solver.
-        """
-        if budget <= 0 or not self._ok:
-            return budget
-        occurrences: dict[int, list[_Clause]] = {}
-        for clause in self._clauses:
-            for lit in clause.literals:
-                occurrences.setdefault(lit, []).append(clause)
-        removed: set[int] = set()
-        for clause in self._clauses:
-            if budget <= 0:
-                break
-            if clause.learned or len(clause.literals) > self._SUBSUME_MAX_LEN:
-                continue
-            if id(clause) in removed:
-                continue
-            for lit in clause.literals:
-                blocked = True
-                for other in occurrences.get(-lit, ()):
-                    if other is clause or id(other) in removed:
-                        continue
-                    budget -= 1
-                    other_set = set(other.literals)
-                    if not any(
-                        k != lit and -k in other_set for k in clause.literals
-                    ):
-                        blocked = False
-                        break
-                    if budget <= 0:
-                        # Budget died mid-proof: the blockedness of this
-                        # literal is unproven, so keep the clause.
-                        blocked = False
-                        break
-                if blocked:
-                    removed.add(id(clause))
-                    self._elim_stack.append((lit, list(clause.literals)))
-                    self.stats.clauses_blocked += 1
-                    self._sealed = True
-                    break
-                if budget <= 0:
-                    break
-        if removed:
-            self._clauses = [
-                clause for clause in self._clauses if id(clause) not in removed
-            ]
-            self._rebuild_watches()
-        return budget
-
-    def _eliminate_variables(self, budget: int) -> int:
-        """Bounded variable elimination (SatELite-style, NiVER bound).
-
-        A root-unassigned variable is eliminated by replacing the clauses
-        containing it with their pairwise resolvents, when that does not
-        grow the database.  Each resolution costs one budget unit.  Removed
-        original clauses are recorded for model reconstruction; learned
-        clauses mentioning an eliminated variable are dropped (they are
-        implied by the originals over the surviving variables).
-        """
-        if budget <= 0 or not self._ok:
-            return budget
-        # Live occurrence structure: resolvents register as they are
-        # created, so a later elimination of a variable appearing in an
-        # earlier elimination's resolvent sees (and replaces) that clause
-        # too.  Eliminating against a stale snapshot silently drops the
-        # cross-resolvents and can flip UNSAT to SAT.
-        occurrences: dict[int, list[_Clause]] = {}
-        for clause in self._clauses:
-            if clause.learned:
-                continue
-            for lit in clause.literals:
-                occurrences.setdefault(lit, []).append(clause)
-        removed: set[int] = set()
-        fresh: list[_Clause] = []
-        eliminated: set[int] = set()
-        #: variables pinned by a unit resolvent: the unit lives in
-        #: ``_pending_units`` where the occurrence structure cannot see
-        #: it, so the variable must not be eliminated afterwards.
-        frozen: set[int] = set()
-        for var in range(1, self._num_vars + 1):
-            if budget <= 0:
-                break
-            if self._assign[var] != UNASSIGNED or var in frozen:
-                continue
-            pos = [c for c in occurrences.get(var, ()) if id(c) not in removed]
-            neg = [c for c in occurrences.get(-var, ()) if id(c) not in removed]
-            if not pos or not neg:
-                continue
-            if len(pos) * len(neg) > self._ELIM_MAX_RESOLUTIONS:
-                continue
-            if any(
-                len(c.literals) > self._SUBSUME_MAX_LEN for c in pos + neg
-            ):
-                continue
-            resolvents: list[list[int]] = []
-            abort = False
-            for p in pos:
-                for n in neg:
-                    budget -= 1
-                    if budget < 0:
-                        abort = True
-                        break
-                    resolvent = self._resolve(p.literals, n.literals, var)
-                    if resolvent is None:
-                        continue
-                    resolvents.append(resolvent)
-                    if len(resolvents) > len(pos) + len(neg):
-                        abort = True
-                        break
-                if abort:
-                    break
-            if abort:
-                continue
-            for clause in pos:
-                self._elim_stack.append((var, list(clause.literals)))
-                removed.add(id(clause))
-            for clause in neg:
-                self._elim_stack.append((-var, list(clause.literals)))
-                removed.add(id(clause))
-            for literals in resolvents:
-                if not literals:
-                    self._ok = False
-                    break
-                if len(literals) == 1:
-                    self._pending_units.append(literals[0])
-                    frozen.add(abs(literals[0]))
-                    continue
-                clause = _Clause(literals)
-                fresh.append(clause)
-                for lit in literals:
-                    occurrences.setdefault(lit, []).append(clause)
-            eliminated.add(var)
-            self.stats.vars_eliminated += 1
-            self._sealed = True
-            if not self._ok:
-                break
-        if not eliminated:
-            return budget
-        kept = [
-            clause
-            for clause in self._clauses
-            if id(clause) not in removed
-            and not (
-                clause.learned
-                and any(abs(lit) in eliminated for lit in clause.literals)
-            )
-        ]
-        kept.extend(
-            clause for clause in fresh if id(clause) not in removed
-        )
-        self._clauses = kept
-        self._rebuild_watches()
-        if not self._ok:
-            return budget
-        self._flush_pending_units()
-        if self._ok and self._propagate() is not None:
-            self._ok = False
-        return budget
-
-    @staticmethod
-    def _resolve(
-        plits: list[int], nlits: list[int], var: int
-    ) -> list[int] | None:
-        """Resolvent of two clauses on ``var``; None when tautological."""
-        seen: set[int] = set()
-        out: list[int] = []
-        for lit in plits:
-            if lit == var:
-                continue
-            if -lit in seen:
-                return None
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        for lit in nlits:
-            if lit == -var:
-                continue
-            if -lit in seen:
-                return None
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        return out
-
-    def _extend_model(self) -> None:
-        """Fix eliminated variables so removed clauses are satisfied.
-
-        Records are replayed newest-first: a record's literals may mention
-        variables eliminated later, whose values must be final first.  If a
-        recorded clause is falsified, flipping its witness literal repairs
-        it without breaking any surviving clause (the resolvents are all
-        satisfied, so at most one polarity group of an eliminated variable
-        can be in need).
-        """
-        for lit, literals in reversed(self._elim_stack):
-            if any(self._value(other) == TRUE for other in literals):
-                continue
-            var = abs(lit)
-            self._assign[var] = TRUE if lit > 0 else FALSE
-
-    def _probe_failed_literals(self, budget: int) -> None:
-        """Probe high-activity variables for failed literals.
-
-        Assuming a literal and propagating to a conflict proves its
-        negation at the root.  Propagations count against the budget.
-        """
-        if budget <= 0 or not self._ok:
-            return
-        candidates = sorted(
-            range(1, self._num_vars + 1),
-            key=lambda var: (-self._activity[var], var),
-        )[:64]
-        for var in candidates:
-            if budget <= 0 or not self._ok:
-                return
-            if self._assign[var] != UNASSIGNED:
-                continue
-            for lit in (var, -var):
-                if budget <= 0:
-                    return
-                if self._assign[var] != UNASSIGNED:
-                    break
-                self._trail_lim.append(len(self._trail))
-                self._assign_lit(lit, None)
-                before = self.stats.propagations
-                conflict = self._propagate()
-                budget -= self.stats.propagations - before + 1
-                self._backtrack(0)
-                if conflict is not None:
-                    self.stats.probe_failed += 1
-                    if not self._enqueue_root(-lit):
-                        self._ok = False
-                        return
-                    if self._propagate() is not None:
-                        self._ok = False
-                        return
 
     def _flush_pending_units(self) -> None:
         while self._pending_units:
@@ -978,13 +432,6 @@ class SatSolver:
 
     # -- main loop -------------------------------------------------------------------
 
-    def _restart_limit(self, index: int) -> int:
-        """Conflicts allowed before restart ``index`` (policy-dependent)."""
-        config = self._config
-        if config.restart_policy == "geometric":
-            return max(1, int(config.restart_base * config.restart_growth**index))
-        return config.restart_base * luby(index)
-
     def solve(
         self,
         assumptions: list[int] | None = None,
@@ -1018,7 +465,7 @@ class SatSolver:
             return SatResult.UNSAT
         budget_left = conflict_budget
         restart_index = 0
-        restart_limit = self._restart_limit(restart_index)
+        restart_limit = RESTART_BASE * luby(restart_index)
         conflicts_since_restart = 0
         while True:
             conflict = self._propagate()
@@ -1071,14 +518,14 @@ class SatSolver:
                     clause = self._store_learned(learned)
                     assert clause is not None
                     self._assign_lit(learned[0], clause)
-                self._var_inc /= self._var_decay
+                self._var_inc /= VAR_DECAY
                 continue
             if conflicts_since_restart >= restart_limit and len(
                 self._trail_lim
             ) > len(assumptions):
                 self.stats.restarts += 1
                 restart_index += 1
-                restart_limit = self._restart_limit(restart_index)
+                restart_limit = RESTART_BASE * luby(restart_index)
                 conflicts_since_restart = 0
                 self._backtrack(len(assumptions))
                 continue
@@ -1100,8 +547,6 @@ class SatSolver:
                 continue
             branch = self._pick_branch()
             if branch == 0:
-                if self._elim_stack:
-                    self._extend_model()
                 return SatResult.SAT
             self.stats.decisions += 1
             self._trail_lim.append(len(self._trail))

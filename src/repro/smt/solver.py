@@ -25,12 +25,6 @@ if TYPE_CHECKING:  # cache.py imports Result from here; avoid the cycle.
 
 from repro.smt import terms as t
 from repro.smt.bitblast import BitBlaster
-from repro.smt.portfolio import (
-    DEFAULT_PROBE_CONFLICTS,
-    MODES as PORTFOLIO_MODES,
-    default_width,
-    run_portfolio,
-)
 from repro.smt.sat import SatResult, SatSolver
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term
@@ -69,39 +63,12 @@ class QueryStats:
     clauses_reused: int = 0
     #: Tseitin encodings served from the session blaster's per-term cache
     encode_cache_hits: int = 0
-    #: clauses deleted by the inprocessing subsumption pass
-    clauses_subsumed: int = 0
-    #: literals removed by self-subsuming resolution
-    clauses_strengthened: int = 0
-    #: learned clauses evicted by the bounded store (memory cap)
-    clauses_evicted: int = 0
-    #: root units derived by failed-literal probing
-    probe_failed_literals: int = 0
-    #: session scopes that fed these counters ("point", "function",
-    #: "campaign"; comma-joined union after merging)
-    session_scope: str = ""
     cache_hits: int = 0  # answered by the shared QueryCache
     cache_misses: int = 0
     #: memo/cache entries that held the answer but could not serve the query
     #: because a model was requested (``need_model=True``).  Not misses: the
     #: cache knew the result, the caller just needed more than the result.
     cache_hits_unused: int = 0
-    #: queries decided (or attempted) by the portfolio runner — fresh
-    #: misses under ``Solver(portfolio=N>1)`` plus session escalations
-    portfolio_queries: int = 0
-    #: variables removed by bounded variable elimination (portfolio members)
-    vars_eliminated: int = 0
-    #: clauses removed by blocked-clause elimination (portfolio members)
-    clauses_blocked: int = 0
-    #: decided portfolio races per winning configuration name
-    portfolio_wins_by_config: dict[str, int] = field(default_factory=dict)
-    #: portfolio queries decided by the baseline triage probe alone
-    portfolio_probe_decided: int = 0
-    #: portfolio queries whose probe exhausted and the full race ran
-    portfolio_escalations: int = 0
-    #: execution modes that fed these counters ("interleave", "threads",
-    #: "processes"; comma-joined union after merging)
-    portfolio_mode: str = ""
     per_query_conflicts: list[int] = field(default_factory=list)
 
     def merge(self, other: "QueryStats") -> None:
@@ -117,31 +84,9 @@ class QueryStats:
         self.incremental_checks += other.incremental_checks
         self.clauses_reused += other.clauses_reused
         self.encode_cache_hits += other.encode_cache_hits
-        self.clauses_subsumed += other.clauses_subsumed
-        self.clauses_strengthened += other.clauses_strengthened
-        self.clauses_evicted += other.clauses_evicted
-        self.probe_failed_literals += other.probe_failed_literals
-        scopes = set(filter(None, self.session_scope.split(","))) | set(
-            filter(None, other.session_scope.split(","))
-        )
-        self.session_scope = ",".join(sorted(scopes))
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.cache_hits_unused += other.cache_hits_unused
-        self.portfolio_queries += other.portfolio_queries
-        self.vars_eliminated += other.vars_eliminated
-        self.clauses_blocked += other.clauses_blocked
-        for name in sorted(other.portfolio_wins_by_config):
-            self.portfolio_wins_by_config[name] = (
-                self.portfolio_wins_by_config.get(name, 0)
-                + other.portfolio_wins_by_config[name]
-            )
-        self.portfolio_probe_decided += other.portfolio_probe_decided
-        self.portfolio_escalations += other.portfolio_escalations
-        modes = set(filter(None, self.portfolio_mode.split(","))) | set(
-            filter(None, other.portfolio_mode.split(","))
-        )
-        self.portfolio_mode = ",".join(sorted(modes))
         self.per_query_conflicts.extend(other.per_query_conflicts)
 
 
@@ -196,38 +141,6 @@ class TrivialModel(Model):
         from repro.smt.eval import evaluate
 
         return bool(evaluate(term, _ZERO_ENV, _zero_select))
-
-
-class ValuesModel(Model):
-    """A model carried as plain ``(env, selects)`` value dictionaries.
-
-    ``"processes"``-mode portfolio wins ship their model over a pipe as
-    builtins (terms are per-process interned and never cross a process
-    boundary), already replay-verified by the racing parent.  Terms are
-    read through concrete evaluation under those values; variables the
-    racer never saw default to 0, matching :class:`TrivialModel`.
-    """
-
-    def __init__(
-        self,
-        env: dict[str, "int | bool"],
-        selects: dict[tuple[str, int, int], int],
-    ):
-        self._env = _ZeroEnv(env)
-        self._selects = dict(selects)
-
-    def _select(self, array: str, offset: int, width: int) -> int:
-        return self._selects.get((array, offset, width), 0)
-
-    def eval_bv(self, term: Term) -> int:
-        from repro.smt.eval import evaluate
-
-        return int(evaluate(term, self._env, self._select))
-
-    def eval_bool(self, term: Term) -> bool:
-        from repro.smt.eval import evaluate
-
-        return bool(evaluate(term, self._env, self._select))
 
 
 def _fingerprint(*parts) -> int:
@@ -425,34 +338,8 @@ class Solver:
         self,
         conflict_budget: int | None = 200_000,
         cache: "QueryCache | None" = None,
-        portfolio: int = 1,
-        portfolio_mode: str = "interleave",
-        portfolio_probe: int = DEFAULT_PROBE_CONFLICTS,
     ):
         self.conflict_budget = conflict_budget
-        #: number of diverse solver configurations raced per fresh query
-        #: (1 = the historical single-solver path; 0/None = auto width from
-        #: the available CPUs).  Sessions keep their single scoped solver;
-        #: the portfolio serves fresh misses and session escalations only.
-        if not portfolio or portfolio < 0:
-            portfolio = default_width() if portfolio == 0 else 1
-        self.portfolio = portfolio
-        if portfolio_mode not in PORTFOLIO_MODES:
-            raise ValueError(
-                f"unknown portfolio mode {portfolio_mode!r} "
-                f"(expected one of {PORTFOLIO_MODES})"
-            )
-        #: execution mode for portfolio races (see repro.smt.portfolio)
-        self.portfolio_mode = portfolio_mode
-        if portfolio_probe < 0:
-            raise ValueError(
-                f"portfolio probe budget must be >= 0, got {portfolio_probe}"
-            )
-        #: triage probe conflicts: the baseline member alone gets this many
-        #: conflicts before a query escalates to the full race (0 = always
-        #: race).  A constant per solver — never wall-clock derived — so
-        #: campaign resume and byte-identical reports are preserved.
-        self.portfolio_probe = portfolio_probe
         self.stats = QueryStats()
         self.last_model: Model | None = None
         #: simplified goal -> Result.  KEQ re-issues many identical queries
@@ -486,8 +373,6 @@ class Solver:
             return fast
         bare_goal = goal
         goal = t.and_(goal, _ackermann_lemmas(goal), _comparison_lemmas(goal))
-        if self.portfolio > 1:
-            return self._portfolio_decide(bare_goal, goal, started)
         sat_solver = SatSolver()
         blaster = BitBlaster(sat_solver)
         blaster.assert_term(goal)
@@ -512,71 +397,6 @@ class Solver:
             return Result.UNSAT
         self.stats.unknowns += 1
         return Result.UNKNOWN
-
-    def _portfolio_decide(
-        self, bare_goal: Term, full_goal: Term, started: float
-    ) -> Result:
-        """Decide a query by racing diverse configurations.
-
-        ``full_goal`` is the lemma-augmented goal exactly as the
-        single-solver path would assert it; ``bare_goal`` is the memo key.
-        Every member is sound and a SAT only wins after its model replays
-        through the evaluator, so a decided answer here always matches
-        what any single-solver run that decides would say; UNKNOWN is
-        returned only when every member exhausted the budget.
-
-        Decided results feed the per-solver memo but **not** the shared
-        QueryCache: a diverse member's win carries no fresh-baseline cost,
-        and storing an optimistic one would let a cached run answer where
-        an uncached single-solver run returns UNKNOWN — the same
-        budget-monotonicity policy that keeps session results out of the
-        shared cache (see cache.py).
-        """
-        stats = self.stats
-        stats.sat_calls += 1
-        stats.portfolio_queries += 1
-        modes = set(filter(None, stats.portfolio_mode.split(",")))
-        modes.add(self.portfolio_mode)
-        stats.portfolio_mode = ",".join(sorted(modes))
-        outcome = run_portfolio(
-            full_goal,
-            self.conflict_budget,
-            self.portfolio,
-            mode=self.portfolio_mode,
-            probe=self.portfolio_probe,
-        )
-        stats.conflicts += outcome.conflicts
-        stats.decisions += outcome.decisions
-        stats.propagations += outcome.propagations
-        stats.vars_eliminated += outcome.vars_eliminated
-        stats.clauses_blocked += outcome.clauses_blocked
-        stats.per_query_conflicts.append(outcome.conflicts)
-        stats.time_seconds += time.perf_counter() - started
-        if outcome.probe_decided:
-            stats.portfolio_probe_decided += 1
-        elif outcome.escalated:
-            stats.portfolio_escalations += 1
-        if outcome.result is SatResult.UNKNOWN:
-            stats.unknowns += 1
-            return Result.UNKNOWN
-        if not outcome.probe_decided:
-            # Probe decisions are the baseline doing its ordinary job; the
-            # wins table counts races only, so it keeps measuring how often
-            # diversification (not triage) pays.
-            wins = stats.portfolio_wins_by_config
-            wins[outcome.winner] = wins.get(outcome.winner, 0) + 1
-        if outcome.result is SatResult.SAT:
-            if outcome.winner_blaster is not None:
-                self.last_model = Model(outcome.winner_blaster)
-            else:
-                # A "processes"-mode win: the model arrived as plain
-                # values and was already replay-verified by the pool.
-                assert outcome.winner_model is not None
-                self.last_model = ValuesModel(*outcome.winner_model)
-            self._memo[bare_goal] = Result.SAT
-            return Result.SAT
-        self._memo[bare_goal] = Result.UNSAT
-        return Result.UNSAT
 
     def _try_fast_paths(
         self, goal: Term, need_model: bool, started: float
@@ -685,11 +505,7 @@ class Solver:
 
     # -- incremental sessions ----------------------------------------------------
 
-    def session(
-        self,
-        assumptions: Iterable[Term] = (),
-        core: "SessionCore | None" = None,
-    ) -> "SolverSession":
+    def session(self, assumptions: Iterable[Term] = ()) -> "SolverSession":
         """Open an incremental session sharing ``assumptions`` across checks.
 
         All goals checked through the session are decided *under* the
@@ -697,13 +513,8 @@ class Solver:
         clauses, and VSIDS activity persist across checks, so obligations
         sharing a fat prefix (KEQ's per-sync-point queries) amortize both
         the bit-blasting and the search.  Usable as a context manager.
-
-        ``core`` plugs in pre-existing solver state (a
-        :class:`SessionCore`), letting the session lifecycle outlive this
-        façade object — the campaign drivers keep one core per worker so
-        clauses learned on one function carry into the next.
         """
-        return SolverSession(self, assumptions, core=core)
+        return SolverSession(self, assumptions)
 
 
 #: per-process memo of canonical term printings used to order assumptions
@@ -733,88 +544,6 @@ def canonical_assumption_order(terms: Iterable[Term]) -> list[Term]:
     return sorted(unique, key=key)
 
 
-class SessionCore:
-    """Long-lived incremental-solver state with a bounded learned store.
-
-    Owns the SAT solver, the Tseitin-caching bit-blaster, the assumption
-    indicator literals, and the set of permanently asserted valid lemmas.
-    A :class:`SolverSession` normally creates a private core; campaign
-    drivers instead create one core per worker and thread it through every
-    function's session, so learned clauses and encodings survive across
-    dedup-adjacent functions (the *campaign* scope).
-
-    Between checks the core runs bounded upkeep: when the learned store
-    exceeds ``max_learned`` the weakest half is evicted (LBD/size order),
-    and every ``inprocess_every`` checks the clause database is subsumed,
-    strengthened, and probed under ``inprocess_budget`` propagations —
-    memory stays flat while the retained clauses get stronger.
-    """
-
-    def __init__(
-        self,
-        scope: str = "point",
-        max_learned: int = 4000,
-        inprocess_every: int = 16,
-        inprocess_budget: int = 20_000,
-        max_vars: int = 250_000,
-    ):
-        self.scope = scope
-        self.max_learned = max_learned
-        self.inprocess_every = inprocess_every
-        self.inprocess_budget = inprocess_budget
-        #: generational ceiling: once the shared solver holds this many
-        #: variables, the next maintenance discards the whole core.  SAT
-        #: answers must assign *every* variable, so an unboundedly growing
-        #: campaign core would slow each check down even when the old
-        #: state never helps; a generation restart re-pays one function's
-        #: encoding instead.
-        self.max_vars = max_vars
-        self.sat: SatSolver | None = None
-        self.blaster: BitBlaster | None = None
-        #: raw assumption term -> encoded indicator literal
-        self.assume_lits: dict[Term, int] = {}
-        #: valid lemma conjunctions already asserted permanently
-        self.lemmas_asserted: set[Term] = set()
-        self.checks = 0
-        #: times the state was discarded (poison-pill quarantine or a
-        #: ``max_vars`` generation restart)
-        self.resets = 0
-
-    def ensure(self) -> BitBlaster:
-        if self.blaster is None:
-            self.sat = SatSolver()
-            self.blaster = BitBlaster(self.sat)
-        return self.blaster
-
-    def reset(self) -> None:
-        """Discard every piece of solver state.
-
-        Campaign workers call this after a crashed or quarantined
-        function so a poisoned solve can never constrain later functions.
-        """
-        self.sat = None
-        self.blaster = None
-        self.assume_lits = {}
-        self.lemmas_asserted = set()
-        self.checks = 0
-        self.resets += 1
-
-    def maintain(self) -> None:
-        """Bounded upkeep after a check (see class docstring)."""
-        sat = self.sat
-        if sat is None:
-            return
-        self.checks += 1
-        if self.max_vars and sat.stats.max_vars > self.max_vars:
-            self.reset()
-            return
-        if self.max_learned and sat.num_learned > self.max_learned:
-            sat.reset_to_root()
-            sat.reduce_learned(self.max_learned // 2)
-        if self.inprocess_every and self.checks % self.inprocess_every == 0:
-            sat.inprocess(self.inprocess_budget)
-
-
 class SolverSession:
     """Assumption-based incremental checking against one shared SAT solver.
 
@@ -838,34 +567,17 @@ class SolverSession:
     from the SAT-level unsat core.
     """
 
-    def __init__(
-        self,
-        solver: Solver,
-        assumptions: Iterable[Term] = (),
-        core: SessionCore | None = None,
-    ):
+    def __init__(self, solver: Solver, assumptions: Iterable[Term] = ()):
         self.solver = solver
         self._base: list[Term] = list(assumptions)
-        self._core = core if core is not None else SessionCore()
-        solver.stats.session_scope = ",".join(
-            sorted(
-                set(filter(None, solver.stats.session_scope.split(",")))
-                | {self._core.scope}
-            )
-        )
+        #: created on the first check that reaches the SAT solver
+        self._sat: SatSolver | None = None
+        self._blaster: BitBlaster | None = None
+        #: raw assumption term -> encoded indicator literal
+        self._assume_lits: dict[Term, int] = {}
+        #: valid lemma conjunctions already asserted permanently
+        self._lemmas_asserted: set[Term] = set()
         self.last_core: list[Term] | None = None
-
-    @property
-    def _sat(self) -> SatSolver | None:
-        return self._core.sat
-
-    @property
-    def _blaster(self) -> BitBlaster | None:
-        return self._core.blaster
-
-    @property
-    def _assume_lits(self) -> dict[Term, int]:
-        return self._core.assume_lits
 
     def __enter__(self) -> "SolverSession":
         return self
@@ -874,17 +586,17 @@ class SolverSession:
         return False
 
     def _ensure_blaster(self) -> BitBlaster:
-        return self._core.ensure()
+        if self._blaster is None:
+            self._sat = SatSolver()
+            self._blaster = BitBlaster(self._sat)
+        return self._blaster
 
     def _assume_lit(self, term: Term) -> int:
-        lits = self._core.assume_lits
-        lit = lits.get(term)
+        lit = self._assume_lits.get(term)
         if lit is None:
-            blaster = self._core.blaster
-            assert blaster is not None
-            simplified = simplify(term)
-            lit = blaster.encode_bool(simplified)
-            lits[term] = lit
+            assert self._blaster is not None
+            lit = self._blaster.encode_bool(simplify(term))
+            self._assume_lits[term] = lit
         return lit
 
     def check(
@@ -916,30 +628,6 @@ class SolverSession:
         fast = solver._try_fast_paths(combined, need_model, started)
         if fast is not None:
             return fast
-        # Bounded upkeep (eviction, inprocessing, generation restart) runs
-        # *before* this check's encoding: it must never sit between the
-        # solve and the model/unsat-core extraction below, which read the
-        # same blaster and indicator-literal table the solve used.  Its
-        # counter deltas are recorded here — the post-solve window below
-        # only covers the solve itself.
-        sat_before = self._core.sat
-        if sat_before is not None:
-            upkeep = (
-                sat_before.stats.subsumed,
-                sat_before.stats.strengthened,
-                sat_before.stats.evicted,
-                sat_before.stats.probe_failed,
-            )
-        self._core.maintain()
-        if sat_before is not None:
-            stats.clauses_subsumed += sat_before.stats.subsumed - upkeep[0]
-            stats.clauses_strengthened += (
-                sat_before.stats.strengthened - upkeep[1]
-            )
-            stats.clauses_evicted += sat_before.stats.evicted - upkeep[2]
-            stats.probe_failed_literals += (
-                sat_before.stats.probe_failed - upkeep[3]
-            )
         blaster = self._ensure_blaster()
         sat_solver = self._sat
         assert sat_solver is not None
@@ -950,21 +638,16 @@ class SolverSession:
             _ackermann_lemmas(combined), _comparison_lemmas(combined)
         )
         encode_hits_before = blaster.encode_hits
-        lemmas_asserted = self._core.lemmas_asserted
-        if lemmas is not t.TRUE and lemmas not in lemmas_asserted:
-            lemmas_asserted.add(lemmas)
+        if lemmas is not t.TRUE and lemmas not in self._lemmas_asserted:
+            self._lemmas_asserted.add(lemmas)
             blaster.assert_term(lemmas)
         assume_lits = [self._assume_lit(term) for term in ordered]
         delta_lit = self._assume_lit(delta)
-        stats.clauses_reused += sat_solver.num_learned
+        stats.clauses_reused += sat_solver.stats.learned
         stats.encode_cache_hits += blaster.encode_hits - encode_hits_before
         conflicts_before = sat_solver.stats.conflicts
         decisions_before = sat_solver.stats.decisions
         propagations_before = sat_solver.stats.propagations
-        subsumed_before = sat_solver.stats.subsumed
-        strengthened_before = sat_solver.stats.strengthened
-        evicted_before = sat_solver.stats.evicted
-        probed_before = sat_solver.stats.probe_failed
         stats.sat_calls += 1
         outcome = sat_solver.solve(
             assumptions=assume_lits + [delta_lit],
@@ -975,14 +658,6 @@ class SolverSession:
         stats.decisions += sat_solver.stats.decisions - decisions_before
         stats.propagations += (
             sat_solver.stats.propagations - propagations_before
-        )
-        stats.clauses_subsumed += sat_solver.stats.subsumed - subsumed_before
-        stats.clauses_strengthened += (
-            sat_solver.stats.strengthened - strengthened_before
-        )
-        stats.clauses_evicted += sat_solver.stats.evicted - evicted_before
-        stats.probe_failed_literals += (
-            sat_solver.stats.probe_failed - probed_before
         )
         stats.per_query_conflicts.append(conflicts_delta)
         stats.time_seconds += time.perf_counter() - started
@@ -1007,20 +682,5 @@ class SolverSession:
             ]
             solver._memo[combined] = Result.UNSAT
             return Result.UNSAT
-        # UNKNOWN under the scoped solver.  With a portfolio configured,
-        # escalate to a fresh race before giving up: sessions keep their
-        # single scoped solver — only fresh and escalated queries are
-        # portfolio-backed — so the escalation runs on fresh members and
-        # can only refine the UNKNOWN, never flip a decided verdict.
-        if solver.portfolio > 1:
-            return solver._portfolio_decide(
-                combined,
-                t.and_(
-                    combined,
-                    _ackermann_lemmas(combined),
-                    _comparison_lemmas(combined),
-                ),
-                time.perf_counter(),
-            )
         stats.unknowns += 1
         return Result.UNKNOWN

@@ -657,8 +657,11 @@ def eq(a: Term, b: Term) -> Term:
             if other is els:
                 return not_(cond)
             return FALSE
-    # Canonical arg order for the symmetric operation (interning stability).
-    if a.serial > b.serial:
+    # Canonical arg order for the symmetric operation: a constant goes last,
+    # as for the other commutative ops, so ``x == k`` is one term whether or
+    # not ``k`` was interned before ``x`` (query-cache keys then match across
+    # processes); two non-constants are ordered by interning.
+    if a.is_const() or (not b.is_const() and a.serial > b.serial):
         a, b = b, a
     del width
     return Term("eq", (a, b), (), BOOL)

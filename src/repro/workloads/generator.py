@@ -320,10 +320,9 @@ def _emit_mul_guard(state: _GenState, shape: FunctionShape) -> None:
     """An i8 multiply-by-constant guarding a diamond, product kept live.
 
     The multiplicand is always the first parameter, so every guard across a
-    corpus shares the ``trunc(p0) * C`` sub-circuit — campaign-scoped
-    incremental solving can transfer learned clauses between functions
-    while the varying guard predicate and diamond bodies keep the overall
-    goals distinct (no query-cache hits to mask the solver work).
+    corpus shares the ``trunc(p0) * C`` sub-circuit, while the varying
+    guard predicate and diamond bodies keep the overall goals distinct (no
+    query-cache hits to mask the solver work).
     """
     rng = state.rng
     builder = state.builder

@@ -158,58 +158,3 @@ class TestQuarantine:
         assert list(report.quarantined) == [VICTIM]
         assert "worker deaths" in report.quarantined[VICTIM]
 
-
-class TestProcessModeCampaign:
-    """Process-parallel racing must never change campaign verdicts.
-
-    On a starved box the pool clamps the race width to the worker's slot
-    share (possibly a single racer), which is exactly the degenerate case
-    most likely to diverge — so these tests make no assumption about CPU
-    count and hold the report to byte-identity either way.
-    """
-
-    def test_report_byte_identical_to_single_solver(self, tmp_path):
-        plain = run_campaign(str(tmp_path / "plain"), config(portfolio=1))
-        raced_dir = str(tmp_path / "raced")
-        raced = run_campaign(
-            raced_dir,
-            config(
-                portfolio=4, portfolio_mode="processes", portfolio_probe=0
-            ),
-        )
-        assert raced.complete
-        assert raced.summary(include_timing=False) == plain.summary(
-            include_timing=False
-        )
-        assert raced.function_table() == plain.function_table()
-
-    def test_mode_and_probe_survive_interrupt_and_resume(
-        self, tmp_path, monkeypatch
-    ):
-        plain = run_campaign(str(tmp_path / "plain"), config(portfolio=1))
-
-        crash_dir = str(tmp_path / "crash")
-        monkeypatch.setenv(KILL_ONCE_ENV, VICTIM)
-        monkeypatch.setenv(KILL_DIR_ENV, crash_dir)
-        with pytest.raises(CampaignInterrupted):
-            run_campaign(
-                crash_dir,
-                config(
-                    portfolio=4,
-                    portfolio_mode="processes",
-                    portfolio_probe=0,
-                    halt_on_worker_death=True,
-                    validate=sigkill_injector,
-                ),
-            )
-        manifest = load_manifest(crash_dir)
-        assert manifest["portfolio"] == 4
-        assert manifest["portfolio_mode"] == "processes"
-        assert manifest["portfolio_probe"] == 0
-
-        report = resume_campaign(crash_dir)
-        assert report.complete
-        assert report.summary(include_timing=False) == plain.summary(
-            include_timing=False
-        )
-        assert report.function_table() == plain.function_table()

@@ -107,37 +107,6 @@ class TestStatusErrors:
             campaign_status(str(tmp_path / "void"))
 
 
-class TestPortfolioManifestRoundTrip:
-    """``--portfolio N`` must survive halt/resume through the manifest so
-    resumed shards race with the same width (outcome identity)."""
-
-    def test_portfolio_width_persisted_and_resumed(self, tmp_path):
-        directory = str(tmp_path / "camp")
-        report = run_campaign(
-            directory,
-            CampaignConfig(
-                shards=1, jobs=1, wall_budget=30.0, portfolio=3
-            ),
-            corpus=clone_corpus(),
-        )
-        assert report.complete
-        manifest = load_manifest(directory)
-        assert manifest["portfolio"] == 3
-        # Resume of a complete campaign replays the merged report with
-        # the persisted width (no KeyError / silent reset to 1).
-        resumed = resume_campaign(directory, corpus=clone_corpus())
-        assert resumed.complete
-
-    def test_default_width_is_single_solver(self, tmp_path):
-        directory = str(tmp_path / "camp")
-        run_campaign(
-            directory,
-            CampaignConfig(shards=1, jobs=1, wall_budget=30.0),
-            corpus=clone_corpus(),
-        )
-        assert load_manifest(directory)["portfolio"] == 1
-
-
 class TestTargetManifestRoundTrip:
     """``--target`` must survive halt/resume through the manifest, and a
     resume under a *different* target must refuse rather than silently

@@ -126,6 +126,19 @@ class TestIdentities:
         b = t.bv_var("b", 32)
         assert t.eq(a, b) is t.eq(b, a)
 
+    def test_eq_puts_constant_last_whatever_was_interned_first(self):
+        # The constant interned before the variable, then after it: both
+        # equalities must come out in the same operand order, or the same
+        # query prints (and is cache-keyed) differently per process.
+        early = t.bv_const(0x5A5A, 17)
+        late_var = t.bv_var("eq_order_late_var", 17)
+        early_var = t.bv_var("eq_order_early_var", 17)
+        late = t.bv_const(0x5A5B, 17)
+        assert t.eq(late_var, early).args == (late_var, early)
+        assert t.eq(early, late_var).args == (late_var, early)
+        assert t.eq(early_var, late).args == (early_var, late)
+        assert t.eq(late, early_var).args == (early_var, late)
+
 
 class TestBooleans:
     def test_and_flattens_and_dedups(self):

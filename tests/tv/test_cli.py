@@ -137,22 +137,23 @@ class TestCampaign:
 
 
 class TestPortfolioFlag:
-    def test_single_accepts_portfolio(self, simple_file, capsys):
-        assert main(["single", simple_file, "--portfolio", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "validated" in out
-
-    def test_campaign_run_accepts_portfolio(self, capsys):
-        assert (
-            main(
-                [
-                    "campaign", "run", "--scale", "6", "--seed", "11",
-                    "--portfolio", "2",
-                ]
-            )
-            == 0
-        )
-        assert "Succeeded" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single", "x.ll", "--portfolio", "2"],
+            ["single", "x.ll", "--session-scope", "campaign"],
+            ["campaign", "run", "--scale", "6", "--portfolio", "2"],
+            ["campaign", "run", "--scale", "6", "--session-scope", "campaign"],
+            ["service", "coordinate", "--dir", "camp", "--portfolio", "2"],
+        ],
+    )
+    def test_removed_solver_flags_are_usage_errors(self, argv, capsys):
+        # The solver portfolio and the point/campaign session scopes are
+        # gone; their flags must fail loudly rather than be ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_worker_recv_flags_parse(self):
         # Parse-only: the worker would dial out, so just build the parser
@@ -169,92 +170,3 @@ class TestPortfolioFlag:
         )
         assert args.recv_timeout == 2.5
         assert args.recv_retries == 5
-
-    def test_service_coordinate_accepts_portfolio(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            [
-                "service", "coordinate", "--dir", "camp", "--scale", "6",
-                "--portfolio", "4",
-            ]
-        )
-        assert args.portfolio == 4
-
-
-class TestPortfolioTuningFlags:
-    def test_mode_and_probe_parse_everywhere(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(
-            [
-                "single", "x.ll", "--portfolio", "2",
-                "--portfolio-mode", "processes", "--portfolio-probe", "64",
-            ]
-        )
-        assert args.portfolio_mode == "processes"
-        assert args.portfolio_probe == 64
-        args = parser.parse_args(
-            [
-                "campaign", "run", "--scale", "6",
-                "--portfolio", "2", "--portfolio-mode", "threads",
-            ]
-        )
-        assert args.portfolio_mode == "threads"
-        args = parser.parse_args(
-            [
-                "service", "coordinate", "--dir", "camp", "--scale", "6",
-                "--portfolio", "4", "--portfolio-probe", "0",
-            ]
-        )
-        assert args.portfolio_probe == 0
-
-    def test_single_runs_with_mode_and_probe(self, simple_file, capsys):
-        argv = [
-            "single", simple_file, "--portfolio", "2",
-            "--portfolio-mode", "interleave", "--portfolio-probe", "0",
-        ]
-        assert main(argv) == 0
-        assert "validated" in capsys.readouterr().out
-
-    def test_campaign_run_with_triage_probe(self, capsys):
-        argv = [
-            "campaign", "run", "--scale", "6", "--seed", "11",
-            "--portfolio", "2", "--portfolio-probe", "128",
-        ]
-        assert main(argv) == 0
-        assert "Succeeded" in capsys.readouterr().out
-
-    def test_mode_without_racing_width_rejected(self, simple_file):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                ["single", simple_file, "--portfolio-mode", "processes"]
-            )
-        assert "--portfolio 1" in str(exc.value)
-
-    def test_probe_without_racing_width_rejected(self, simple_file):
-        with pytest.raises(SystemExit) as exc:
-            main(["single", simple_file, "--portfolio-probe", "64"])
-        assert "--portfolio 1" in str(exc.value)
-
-    def test_negative_probe_rejected(self, simple_file):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "single", simple_file, "--portfolio", "2",
-                    "--portfolio-probe", "-1",
-                ]
-            )
-        assert ">= 0" in str(exc.value)
-
-    def test_campaign_mode_without_width_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "campaign", "run", "--scale", "6",
-                    "--dir", str(tmp_path / "camp"),
-                    "--portfolio-mode", "threads",
-                ]
-            )
-        assert "--portfolio 1" in str(exc.value)
