@@ -28,11 +28,15 @@ Two files live in a campaign directory:
     - ``halt``       — the supervisor stopped deliberately
       (``halt_on_worker_death``), leaving in-flight work to ``resume``.
 
-    Events written by the distributed service (:mod:`repro.service`) carry
-    ``worker`` and ``host`` tags naming the worker client that held the
-    lease; the loader ignores them for state reconstruction — they exist
-    for forensics and the per-worker accounting in ``status`` — so
-    single-host and multi-host journals merge through the same code path.
+    Every campaign, local or distributed, runs through one job table
+    (:class:`repro.campaign.coordinator.Coordinator`), so an event about
+    a unit a worker held carries a ``worker`` tag naming it (``local`` for
+    a single-host run), usually with its ``host``, and a ``start`` event
+    also the ``lease`` it was granted under.  The loader ignores these
+    tags for state reconstruction — they exist for forensics and the
+    per-worker accounting in the service ``status`` — so single-host and
+    multi-host journals merge through the same code path.  The recovery
+    events a resume journals, and ``halt`` events, are untagged.
 
 A function's *kill count* tallies only **observed worker deaths**: a
 ``requeue`` carrying ``death: true`` (the supervisor watched the worker

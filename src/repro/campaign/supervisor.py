@@ -1,10 +1,17 @@
-"""The campaign supervisor: shards × worker pool × journal × retry policy.
+"""The campaign supervisor: plan, run and resume a durable campaign.
 
 ``run_campaign`` turns a corpus into a durable campaign directory; crashes
 (of workers *or* of the supervisor itself) lose at most the functions that
 were in flight, and ``resume_campaign`` re-queues exactly those and drives
 the rest to completion.  ``campaign_status`` inspects a directory without
 running anything.
+
+A local campaign is the coordinator with in-process workers: the job
+table (:class:`repro.campaign.coordinator.Coordinator` — shard
+round-robin, retry backoff, quarantine) is called directly, and
+:class:`UnitLoop` runs its units in a :class:`repro.tv.parallel.WorkerPool`.
+A distributed service worker (:mod:`repro.service`) runs the same loop
+over TCP.
 
 Failure handling policy (the paper's Section 5 taxonomy, operationalised):
 
@@ -16,30 +23,27 @@ Failure handling policy (the paper's Section 5 taxonomy, operationalised):
   backoff.  A function whose worker dies ``max_kills`` times is a poison
   pill and is quarantined (journalled, excluded from scheduling, reported
   under the ``crash`` class) instead of wedging the campaign;
-- with ``halt_on_worker_death`` the supervisor instead stops at the first
-  death — the mode CI uses to simulate a mid-campaign crash and assert
-  that ``resume`` recovers cleanly.
+- with ``halt_on_worker_death`` a local campaign instead stops at the
+  first death — the mode CI uses to simulate a mid-campaign crash and
+  assert that ``resume`` recovers cleanly.
 
 Workers are the spawn-safe processes of :mod:`repro.tv.parallel` (module
-shipped as text, hard wall-clock kill, per-worker query cache); the
+shipped as text, hard wall-clock deadline, per-worker query cache); the
 persistent ``cache_dir`` is the layer shards share.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
-import logging
-import multiprocessing as mp
 import os
-import time
-from collections import deque
-from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
+import socket
+from dataclasses import dataclass, field
 
+from repro.campaign.coordinator import Coordinator
 from repro.campaign.journal import (
     JOURNAL_VERSION,
     Journal,
-    JournalState,
     load_manifest,
     load_state,
     manifest_path,
@@ -53,19 +57,12 @@ from repro.campaign.merge import (
     merge_campaign,
 )
 from repro.campaign.shard import ShardItem, plan_shards
-from repro.keq.report import FAILURE_CLASS_TIMEOUT
 from repro.targets import DEFAULT_TARGET
 from repro.tv.batch import corpus_overrides
 from repro.tv.dedup import plan_dedup
-from repro.tv.driver import Category, TvOptions, TvOutcome
-from repro.tv.parallel import Worker, hard_budget
-from repro.util import available_cpus
+from repro.tv.driver import TvOptions
+from repro.tv.parallel import Task, WorkerPool
 from repro.workloads import EXTERNAL_CALLEES, gcc_like_corpus
-
-logger = logging.getLogger(__name__)
-
-#: dispatcher poll interval while waiting for worker results (seconds).
-_POLL_SECONDS = 0.05
 
 
 class CampaignError(RuntimeError):
@@ -139,35 +136,21 @@ def _resolve_validate(reference: str | None):
 
 
 @dataclass
-class Job:
-    """One scheduled validation attempt (Worker.assign reads index/name)."""
-
-    index: int
-    name: str
-    shard: int
-    attempt: int
-    not_before: float = 0.0
-
-
-@dataclass
 class PreparedCampaign:
-    """Everything a driver — the in-process pool or the network
-    coordinator (:mod:`repro.service`) — needs to run a campaign: the
-    published manifest, the module as spawn-safe text, resolved options,
-    the pending job list, and the journal-derived kill counts."""
+    """Everything a :class:`~repro.campaign.coordinator.Coordinator` needs
+    to run a campaign, locally or served over TCP: the published manifest,
+    the module as spawn-safe text, per-function option overrides, the
+    pending tasks, and the journal-derived kill counts and orphans."""
 
     directory: str
     manifest: dict
     module_text: str
-    base: TvOptions
     overrides: dict[str, TvOptions]
-    jobs: list[Job]
+    tasks: list[Task]
     kills: dict[str, int]
     validate: object | None
-
-    @property
-    def cache_dir(self) -> str:
-        return self.manifest["cache_dir"]
+    #: functions a crashed or halted run left in flight -> their attempt.
+    orphans: dict[str, int] = field(default_factory=dict)
 
     @property
     def max_kills(self) -> int:
@@ -184,7 +167,7 @@ def prepare_campaign(
     corpus=None,
 ) -> PreparedCampaign:
     """Plan a fresh campaign: build (or take) the corpus, run dedup and
-    sharding, publish the manifest, and return the full job list."""
+    sharding, publish the manifest, and return the full task list."""
     config = config or CampaignConfig()
     if os.path.exists(manifest_path(directory)):
         raise CampaignError(
@@ -249,8 +232,8 @@ def prepare_campaign(
         "shard_lists": shard_plan.shards,
     }
     write_manifest(directory, manifest)
-    jobs = [
-        Job(index, name, shard_plan.shard_of(name), attempt=1)
+    tasks = [
+        Task(index, name, shard_plan.shard_of(name))
         for index, name in enumerate(
             name
             for shard in shard_plan.shards
@@ -262,9 +245,8 @@ def prepare_campaign(
         directory=directory,
         manifest=manifest,
         module_text=str(module),
-        base=base,
         overrides=overrides,
-        jobs=jobs,
+        tasks=tasks,
         kills={},
         validate=config.validate,
     )
@@ -275,16 +257,14 @@ def prepare_resume(
     corpus=None,
     validate=None,
     target: str | None = None,
-) -> tuple[PreparedCampaign, list[dict]]:
+) -> PreparedCampaign:
     """Plan the continuation of a crashed or halted campaign.
 
-    Returns the prepared plan (completed and quarantined work excluded,
-    attempt counters continued from the journal) plus the *recovery
-    events* — one ``requeue`` per orphaned in-flight function, or a
-    ``quarantine`` if its journal-derived kill count already crossed the
-    poison-pill threshold — which the caller must append to the journal
-    before driving the jobs, so the re-queue happens exactly once even if
-    the resuming process itself crashes.
+    Returns the prepared plan: completed and quarantined work excluded,
+    attempt counters and kill counts continued from the journal, and the
+    *orphans* — functions left in flight — with the attempt they were
+    on.  The coordinator journals their recovery before it grants
+    anything (see :class:`~repro.campaign.coordinator.Coordinator`).
     """
     try:
         manifest = load_manifest(directory)
@@ -316,75 +296,32 @@ def prepare_resume(
     )
     overrides = corpus_overrides(corpus, base)
     state = load_state(directory)
-    max_kills = manifest["max_kills"]
-    run_names = manifest["run_names"]
-    assignment = {
-        name: index
-        for index, shard in enumerate(manifest["shard_lists"])
-        for name in shard
-    }
-    kills = {
-        name: ledger.kills for name, ledger in state.ledgers.items()
-    }
-    recovery: list[dict] = []
-    quarantined_now: set[str] = set()
-    for orphan in state.orphans():
-        attempt = state.ledger(orphan).starts
-        if kills.get(orphan, 0) >= max_kills:
-            recovery.append(
-                {
-                    "event": "quarantine",
-                    "fn": orphan,
-                    "shard": assignment.get(orphan),
-                    "attempt": attempt,
-                    "reason": (
-                        f"poison pill: {kills[orphan]} worker deaths"
-                        " without an outcome"
-                    ),
-                }
-            )
-            quarantined_now.add(orphan)
-        else:
-            recovery.append(
-                {
-                    "event": "requeue",
-                    "fn": orphan,
-                    "shard": assignment.get(orphan),
-                    "attempt": attempt,
-                    "reason": "in flight at supervisor crash/halt",
-                    "delay": 0.0,
-                }
-            )
-    completed = state.completed
-    quarantined = set(state.quarantined) | quarantined_now
-    jobs = []
-    for index, name in enumerate(
-        name
-        for shard in manifest["shard_lists"]
-        for name in shard
-        if name in set(run_names)
-        and name not in completed
-        and name not in quarantined
-    ):
-        jobs.append(
-            Job(
-                index,
-                name,
-                assignment[name],
-                attempt=state.ledger(name).starts + 1,
-            )
-        )
-    prepared = PreparedCampaign(
+    run_names = set(manifest["run_names"])
+    pending = (
+        (shard, name)
+        for shard, names in enumerate(manifest["shard_lists"])
+        for name in names
+        if name in run_names
+        and name not in state.completed
+        and name not in state.quarantined
+    )
+    tasks = [
+        Task(index, name, shard, attempt=state.ledger(name).starts + 1)
+        for index, (shard, name) in enumerate(pending)
+    ]
+    kills = {name: ledger.kills for name, ledger in state.ledgers.items()}
+    return PreparedCampaign(
         directory=directory,
         manifest=manifest,
         module_text=str(module),
-        base=base,
         overrides=overrides,
-        jobs=jobs,
+        tasks=tasks,
         kills=kills,
         validate=validate,
+        orphans={
+            orphan: state.ledger(orphan).starts for orphan in state.orphans()
+        },
     )
-    return prepared, recovery
 
 
 def run_campaign(
@@ -401,20 +338,7 @@ def run_campaign(
     config = config or CampaignConfig()
     prepared = prepare_campaign(directory, config, corpus)
     with Journal(directory) as journal:
-        _drive(
-            journal=journal,
-            jobs=prepared.jobs,
-            kills=prepared.kills,
-            module_text=prepared.module_text,
-            base=prepared.base,
-            overrides=prepared.overrides,
-            cache_dir=prepared.cache_dir,
-            validate=prepared.validate,
-            pool_size=config.jobs,
-            max_kills=config.max_kills,
-            backoff_seconds=config.backoff_seconds,
-            halt_on_worker_death=config.halt_on_worker_death,
-        )
+        _run_local(prepared, journal)
     return merge_campaign(prepared.manifest, load_state(directory))
 
 
@@ -430,26 +354,10 @@ def resume_campaign(
     ``target`` (when given) must match the manifest's recorded target —
     a mismatch raises :class:`CampaignError` instead of silently mixing
     per-target verdicts."""
-    prepared, recovery = prepare_resume(directory, corpus, validate, target)
-    manifest = prepared.manifest
+    prepared = prepare_resume(directory, corpus, validate, target)
     with Journal(directory) as journal:
-        for event in recovery:
-            journal.append(event)
-        _drive(
-            journal=journal,
-            jobs=prepared.jobs,
-            kills=prepared.kills,
-            module_text=prepared.module_text,
-            base=prepared.base,
-            overrides=prepared.overrides,
-            cache_dir=prepared.cache_dir,
-            validate=prepared.validate,
-            pool_size=manifest["jobs"],
-            max_kills=prepared.max_kills,
-            backoff_seconds=prepared.backoff_seconds,
-            halt_on_worker_death=manifest["halt_on_worker_death"],
-        )
-    return merge_campaign(manifest, load_state(directory))
+        _run_local(prepared, journal)
+    return merge_campaign(prepared.manifest, load_state(directory))
 
 
 def campaign_status(directory: str) -> CampaignStatus:
@@ -461,205 +369,203 @@ def campaign_status(directory: str) -> CampaignStatus:
     return build_status(manifest, load_state(directory))
 
 
-def _drive(
-    journal: Journal,
-    jobs: list[Job],
-    kills: dict[str, int],
-    module_text: str,
-    base: TvOptions,
-    overrides: dict[str, TvOptions],
-    cache_dir: str | None,
-    validate,
-    pool_size: int,
-    max_kills: int,
-    backoff_seconds: float,
-    halt_on_worker_death: bool,
-) -> None:
-    """Drain ``jobs`` through a worker pool, journaling every transition.
+def _run_local(prepared: PreparedCampaign, journal: Journal) -> None:
+    """Drain a campaign through its coordinator in process: no sockets,
+    no lease sweep (deaths are observed directly), the manifest's
+    ``jobs`` as pool size.  With ``halt_on_worker_death`` the first death
+    is journaled as ``halt`` instead of being reported to the
+    coordinator, and :class:`CampaignInterrupted` is raised."""
+    coordinator = Coordinator(prepared, journal)
+    host = socket.gethostname()
+    halt = prepared.manifest["halt_on_worker_death"]
 
-    Mirrors :func:`repro.tv.parallel.run_batch_parallel`'s dispatcher
-    (deterministic spawn-safe workers, hard wall-clock kill) and adds the
-    campaign policies: shard-interleaved scheduling, re-queue with
-    exponential backoff on worker death, poison-pill quarantine, and the
-    journal writes that make all of it resumable.
-    """
-    if not jobs:
-        return
-    cores = available_cpus()
-    if validate is None and pool_size > cores:
-        logger.info(
-            "clamping jobs=%d to cpu_count=%d (avoiding oversubscription)",
-            pool_size,
-            cores,
-        )
-        pool_size = cores
-    pool_size = max(1, min(pool_size, len(jobs)))
-    ctx = mp.get_context("spawn")
-
-    #: per-shard queues, drained round-robin so every shard progresses.
-    shard_ids = sorted({job.shard for job in jobs})
-    queues: dict[int, deque[Job]] = {shard: deque() for shard in shard_ids}
-    for job in jobs:
-        queues[job.shard].append(job)
-    unresolved = {job.name for job in jobs}
-    jobs_by_index = {job.index: job for job in jobs}
-    next_index = max(jobs_by_index) + 1
-    rotation = 0
-
-    def spawn() -> Worker:
-        return Worker(ctx, module_text, base, overrides, cache_dir, validate)
-
-    def next_ready(now: float) -> Job | None:
-        nonlocal rotation
-        for offset in range(len(shard_ids)):
-            shard = shard_ids[(rotation + offset) % len(shard_ids)]
-            queue = queues[shard]
-            if queue and queue[0].not_before <= now:
-                rotation = (rotation + offset + 1) % len(shard_ids)
-                return queue.popleft()
-        return None
-
-    def journal_event(kind: str, job: Job, **extra) -> None:
-        journal.append(
-            {
-                "event": kind,
-                "fn": job.name,
-                "shard": job.shard,
-                "attempt": job.attempt,
-                **extra,
-            }
-        )
-
-    def record_done(job: Job, outcome: TvOutcome) -> None:
-        journal_event("done", job, outcome=outcome_to_json(outcome))
-        unresolved.discard(job.name)
-
-    def on_worker_death(job: Job, detail: str) -> None:
-        nonlocal next_index
-        kills[job.name] = kills.get(job.name, 0) + 1
-        if halt_on_worker_death:
+    def request(message: dict) -> dict:
+        if halt and message["type"] == "worker_death":
             # The halt names the function so load_state charges the death
             # to it (the poison-pill counter survives the restart).
             journal.append(
                 {
                     "event": "halt",
-                    "fn": job.name,
-                    "shard": job.shard,
-                    "attempt": job.attempt,
-                    "reason": detail,
+                    "fn": message["unit"],
+                    "shard": message["shard"],
+                    "attempt": message["attempt"],
+                    "reason": message["detail"],
                 }
             )
             raise CampaignInterrupted(
-                f"halted on worker death while validating {job.name!r}"
-                f" ({detail}); resume to continue"
+                f"halted on worker death while validating"
+                f" {message['unit']!r} ({message['detail']}); resume to"
+                " continue"
             )
-        if kills[job.name] >= max_kills:
-            journal_event(
-                "quarantine",
-                job,
-                reason=f"poison pill: killed {kills[job.name]} workers"
-                f" ({detail})",
-            )
-            unresolved.discard(job.name)
-            return
-        delay = backoff_seconds * (2 ** (kills[job.name] - 1))
-        journal_event("requeue", job, reason=detail, delay=delay, death=True)
-        retry = Job(
-            index=next_index,
-            name=job.name,
-            shard=job.shard,
-            attempt=job.attempt + 1,
-            not_before=time.monotonic() + delay,
-        )
-        next_index += 1
-        jobs_by_index[retry.index] = retry
-        queues[retry.shard].append(retry)
+        return coordinator.handle(message, host)
 
-    workers: list[Worker] = []
-    try:
-        workers = [spawn() for _ in range(pool_size)]
-        while unresolved:
-            now = time.monotonic()
-            for worker in list(workers):
-                if worker.task is not None:
-                    continue
-                job = next_ready(now)
-                if job is None:
-                    break
-                try:
-                    worker.assign(
-                        job, hard_budget(overrides.get(job.name, base))
+    units = UnitLoop(
+        request,
+        "local",
+        host,
+        prepared.manifest["jobs"],
+        validate=prepared.validate,
+    )
+    units.hello()
+    units.run()
+
+
+@dataclass
+class WorkerSummary:
+    """What one unit loop did (returned by :meth:`UnitLoop.run`)."""
+
+    worker_id: str
+    leased: int = 0
+    completed: int = 0
+    timeouts: int = 0
+    deaths_reported: int = 0
+    duplicates: int = 0
+    #: True when the run ended on coordinator drain or graceful SIGTERM;
+    #: False when the coordinator connection was lost.
+    drained_clean: bool = False
+
+
+class UnitLoop:
+    """hello → lease → validate in a pool slot → result, worker_death or
+    timeout: the one worker side of the coordinator protocol.
+
+    ``request`` sends one message and returns the coordinator's reply, or
+    None once the coordinator is lost.  A local campaign passes
+    :meth:`Coordinator.handle`; :class:`repro.service.ServiceWorker`
+    passes its TCP channel and adds heartbeat, reconnect and drain around
+    the loop (``draining`` stops leasing, ``lost`` stops at once).
+    ``validate`` and ``cache_dir`` override what the welcome advertises
+    (``cache_dir=""`` disables the persistent cache).
+    """
+
+    def __init__(
+        self,
+        request,
+        worker_id: str,
+        host: str,
+        jobs: int,
+        validate=None,
+        cache_dir: str | None = None,
+        draining=lambda: False,
+        lost=lambda: False,
+    ):
+        self.request = request
+        self.worker_id = worker_id
+        self.host = host
+        self.jobs = jobs
+        self.validate = validate
+        self.cache_dir = cache_dir
+        self.draining = draining
+        self.lost = lost
+        self.summary = WorkerSummary(worker_id=worker_id)
+        self._pool: WorkerPool | None = None
+
+    def hello(self) -> dict | None:
+        """Register and build the pool from the welcome (None if lost)."""
+        welcome = self.request(
+            {
+                "type": "hello",
+                "worker_id": self.worker_id,
+                "host": self.host,
+                "slots": self.jobs,
+            }
+        )
+        if welcome is None:
+            return None
+        base = _base_options(
+            welcome.get("wall_budget"),
+            welcome.get("incremental", True),
+            welcome.get("target", DEFAULT_TARGET),
+        )
+        overrides = {
+            name: dataclasses.replace(base, imprecise_liveness=True)
+            for name in welcome.get("imprecise", [])
+        }
+        validate = self.validate or _resolve_validate(welcome.get("validate"))
+        cache_dir = welcome.get("cache_dir")
+        if self.cache_dir is not None:
+            cache_dir = self.cache_dir or None
+        self._pool = WorkerPool(
+            self.jobs,
+            welcome["module_text"],
+            base,
+            overrides,
+            cache_dir,
+            validate,
+        )
+        return welcome
+
+    def run(self) -> WorkerSummary:
+        """Lease and validate until the coordinator drains (or ``draining``
+        holds) with nothing in flight, or the coordinator is lost."""
+        pool, summary = self._pool, self.summary
+        drained = False
+        next_index = 0
+        try:
+            while not self.lost():
+                wait = None
+                while not (drained or self.draining()) and pool.idle:
+                    reply = self.request(
+                        {"type": "lease", "worker_id": self.worker_id}
                     )
-                except (BrokenPipeError, OSError):
-                    # Worker died before taking work: not the function's
-                    # fault — requeue without counting a kill.
-                    queues[job.shard].appendleft(job)
-                    worker.task = None
-                    worker.kill()
-                    workers.remove(worker)
-                    workers.append(spawn())
-                    continue
-                journal_event("start", job)
-            busy = [w.conn for w in workers if w.task is not None]
-            if busy:
-                ready = mp_connection.wait(busy, timeout=_POLL_SECONDS)
-            else:
-                ready = []
-                if unresolved:
-                    time.sleep(_POLL_SECONDS)  # every queue is backing off
-            replacements: list[Worker] = []
-            dead: list[Worker] = []
-            for worker in workers:
-                if worker.task is None:
-                    continue
-                job = worker.task
-                if worker.conn in ready:
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        # Worker died mid-function (SIGKILL, OOM-kill, ...).
-                        worker.process.join(timeout=1.0)  # reap for exitcode
-                        exitcode = worker.process.exitcode
-                        dead.append(worker)
-                        worker.kill()
-                        on_worker_death(  # may raise CampaignInterrupted
-                            job, f"worker process died (exitcode={exitcode})"
+                    if reply is None:
+                        return summary
+                    if reply["type"] == "drain":
+                        drained = True
+                        break
+                    if reply["type"] == "wait":
+                        wait = reply["seconds"]
+                        break
+                    summary.leased += 1
+                    pool.submit(
+                        Task(
+                            next_index,
+                            reply["unit"],
+                            reply["shard"],
+                            reply["attempt"],
+                            reply["lease_id"],
                         )
-                        if unresolved:
-                            replacements.append(spawn())
-                        continue
-                    _, index, outcome = message
-                    record_done(jobs_by_index[index], outcome)
-                    worker.task = None
-                    continue
-                if worker.overdue(time.perf_counter()):
-                    # Worker.assign stamps started/deadline with
-                    # perf_counter — keep the same clock here.
-                    dead.append(worker)
-                    worker.kill()
-                    record_done(
-                        job,
-                        TvOutcome(
-                            job.name,
-                            Category.TIMEOUT,
-                            detail="hard wall-clock kill (worker unresponsive)",
-                            seconds=time.perf_counter() - worker.started,
-                            failure_class=FAILURE_CLASS_TIMEOUT,
-                        ),
                     )
-                    if unresolved:
-                        replacements.append(spawn())
-            for worker in dead:
-                workers.remove(worker)
-            workers.extend(replacements)
-            if not workers and unresolved:
-                workers = [spawn() for _ in range(pool_size)]
-    finally:
-        for worker in workers:
-            try:
-                if worker.task is not None:
-                    worker.kill()
-                else:
-                    worker.shutdown()
-            except Exception:
-                pass
+                    next_index += 1
+                if (drained or self.draining()) and not pool.busy:
+                    summary.drained_clean = True
+                    break
+                for event in pool.wait(wait):
+                    self._report(event)
+        finally:
+            pool.close()
+        return summary
+
+    def _report(self, event) -> None:
+        task, summary = event.task, self.summary
+        if event.kind == "died":
+            summary.deaths_reported += 1
+            self.request(
+                {
+                    "type": "worker_death",
+                    "worker_id": self.worker_id,
+                    "unit": task.name,
+                    "lease_id": task.lease_id,
+                    "attempt": task.attempt,
+                    "shard": task.shard,
+                    "detail": event.outcome.detail,
+                }
+            )
+            return
+        if event.kind == "killed":
+            summary.timeouts += 1
+        reply = self.request(
+            {
+                "type": "result",
+                "worker_id": self.worker_id,
+                "unit": task.name,
+                "lease_id": task.lease_id,
+                "attempt": task.attempt,
+                "shard": task.shard,
+                "outcome": outcome_to_json(event.outcome),
+            }
+        )
+        if reply is not None:
+            summary.completed += 1
+            if reply.get("duplicate"):
+                summary.duplicates += 1

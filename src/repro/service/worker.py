@@ -1,59 +1,42 @@
 """The worker client: lease units from a coordinator, validate, stream back.
 
-A worker client is the distributed counterpart of the supervisor's local
-pool slot.  It dials the coordinator, registers with ``hello``, and runs
-the same spawn-safe validation subprocesses as the single-host campaign
-(:class:`repro.tv.parallel.Worker` — module re-parsed from text, hard
-wall-clock kill), so a unit validated here is structure-deterministic and
-byte-identical to one validated anywhere else.
-
-Liveness is layered:
+A worker client runs the same :class:`repro.campaign.supervisor.UnitLoop`
+as a local campaign — hello, lease, validate in a
+:class:`repro.tv.parallel.WorkerPool` slot, report — with a TCP channel
+in place of the in-process coordinator, so a unit validated here is
+structure-deterministic and byte-identical to one validated anywhere
+else.  Around the loop it adds only what a network needs:
 
 - a **heartbeat thread** renews every held lease on the advertised
   interval (the channel is lock-serialized, so it shares the socket with
   the lease/result loop);
-- a **validation subprocess** that dies is reported as ``worker_death``
-  (feeding the coordinator's poison-pill counter) and replaced;
-- a subprocess that *hangs* past its hard budget is killed locally and its
-  unit reported as a ``timeout`` outcome — deterministic failures are
-  terminal, exactly as in the single-host driver;
-- the client itself dying takes no protocol action at all — that is the
-  case the coordinator's lease expiry exists for.
+- a **silent coordinator** (no bytes, no FIN) gets a bounded number of
+  reconnect-and-resend attempts before it is reported lost;
+- ``SIGTERM`` (or :meth:`ServiceWorker.request_drain`) triggers a graceful
+  drain: stop leasing, finish and report in-flight units, say
+  ``goodbye``, exit cleanly.
 
-``SIGTERM`` (or :meth:`ServiceWorker.request_drain`) triggers a graceful
-drain: stop leasing, finish and report in-flight units, say ``goodbye``,
-exit cleanly.
+The client itself dying takes no protocol action at all — that is the
+case the coordinator's lease expiry exists for.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
-import multiprocessing as mp
 import os
 import socket as socket_module
 import threading
-import time
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 
-from repro.campaign.journal import outcome_to_json
-from repro.campaign.supervisor import _base_options, _resolve_validate
-from repro.keq.report import FAILURE_CLASS_TIMEOUT
+from repro.campaign.supervisor import UnitLoop, WorkerSummary
 from repro.service.protocol import (
     MessageChannel,
     ProtocolError,
     ProtocolTimeout,
     connect,
 )
-from repro.tv.driver import Category, TvOutcome
-from repro.tv.parallel import Worker, hard_budget
-from repro.util import available_cpus
 
 logger = logging.getLogger(__name__)
-
-#: local dispatcher poll interval (seconds).
-_POLL_SECONDS = 0.05
 
 
 @dataclass
@@ -86,32 +69,6 @@ class WorkerConfig:
         if self.worker_id:
             return self.worker_id
         return f"{socket_module.gethostname()}-{os.getpid()}"
-
-
-@dataclass
-class WorkerSummary:
-    """What one worker client did (returned by :meth:`ServiceWorker.run`)."""
-
-    worker_id: str
-    leased: int = 0
-    completed: int = 0
-    timeouts: int = 0
-    deaths_reported: int = 0
-    duplicates: int = 0
-    #: True when the run ended on coordinator drain or graceful SIGTERM;
-    #: False when the coordinator connection was lost.
-    drained_clean: bool = False
-
-
-@dataclass
-class _Unit:
-    """One leased unit (Worker.assign reads ``index``/``name``)."""
-
-    index: int
-    name: str
-    lease_id: str
-    attempt: int
-    shard: int
 
 
 class ServiceWorker:
@@ -206,215 +163,42 @@ class ServiceWorker:
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> WorkerSummary:
-        summary = WorkerSummary(worker_id=self.worker_id)
         config = self.config
         self._channel = connect(
             config.connect,
             retries=config.connect_retries,
             recv_timeout=config.recv_timeout,
         )
-        try:
-            welcome = self._channel.request(
-                {
-                    "type": "hello",
-                    "worker_id": self.worker_id,
-                    "host": socket_module.gethostname(),
-                    "slots": config.jobs,
-                }
-            )
-        except (ProtocolError, OSError):
-            self._channel.close()
-            raise
-        base = _base_options(
-            welcome.get("wall_budget"),
-            welcome.get("incremental", True),
-            welcome.get("target", "vx86"),
+        units = UnitLoop(
+            self._request,
+            self.worker_id,
+            socket_module.gethostname(),
+            config.jobs,
+            validate=config.validate,
+            cache_dir=config.cache_dir,
+            draining=lambda: self._drain.is_set() or self._server_drain.is_set(),
+            lost=self._lost.is_set,
         )
-        overrides = {
-            name: dataclasses.replace(base, imprecise_liveness=True)
-            for name in welcome.get("imprecise", [])
-        }
-        validate = config.validate
-        if validate is None:
-            validate = _resolve_validate(welcome.get("validate"))
-        cache_dir = welcome.get("cache_dir")
-        if config.cache_dir is not None:
-            cache_dir = config.cache_dir or None
-        module_text = welcome["module_text"]
-        heartbeat_seconds = float(welcome.get("heartbeat_seconds", 5.0))
-        wait_seconds = float(welcome.get("wait_seconds", 0.25))
-
-        jobs = max(1, config.jobs)
-        cores = available_cpus()
-        if validate is None and jobs > cores:
-            logger.info(
-                "clamping jobs=%d to cpu_count=%d (avoiding oversubscription)",
-                jobs,
-                cores,
+        welcome = units.hello()
+        if welcome is None:
+            self._channel.close()
+            raise ConnectionError(
+                f"coordinator {config.connect} sent no welcome"
             )
-            jobs = cores
-
-        ctx = mp.get_context("spawn")
-
-        def spawn() -> Worker:
-            return Worker(ctx, module_text, base, overrides, cache_dir, validate)
-
-        def send_result(unit: _Unit, outcome: TvOutcome) -> None:
-            reply = self._request(
-                {
-                    "type": "result",
-                    "worker_id": self.worker_id,
-                    "unit": unit.name,
-                    "lease_id": unit.lease_id,
-                    "attempt": unit.attempt,
-                    "shard": unit.shard,
-                    "outcome": outcome_to_json(outcome),
-                }
-            )
-            if reply is not None:
-                summary.completed += 1
-                if reply.get("duplicate"):
-                    summary.duplicates += 1
-
         heartbeat = threading.Thread(
             target=self._heartbeat_loop,
-            args=(heartbeat_seconds,),
+            args=(float(welcome.get("heartbeat_seconds", 5.0)),),
             daemon=True,
         )
         heartbeat.start()
-
-        workers = [spawn() for _ in range(jobs)]
-        next_index = 0
         try:
-            while not self._lost.is_set():
-                in_flight = sum(1 for w in workers if w.task is not None)
-                stop_leasing = (
-                    self._drain.is_set() or self._server_drain.is_set()
-                )
-                if stop_leasing and in_flight == 0:
-                    summary.drained_clean = True
-                    break
-                waited = False
-                if not stop_leasing:
-                    for worker in workers:
-                        if worker.task is not None:
-                            continue
-                        reply = self._request(
-                            {"type": "lease", "worker_id": self.worker_id}
-                        )
-                        if reply is None:
-                            break
-                        if reply["type"] == "drain":
-                            self._server_drain.set()
-                            break
-                        if reply["type"] == "wait":
-                            waited = True
-                            break
-                        unit = _Unit(
-                            index=next_index,
-                            name=reply["unit"],
-                            lease_id=reply["lease_id"],
-                            attempt=reply["attempt"],
-                            shard=reply["shard"],
-                        )
-                        next_index += 1
-                        summary.leased += 1
-                        try:
-                            worker.assign(
-                                unit,
-                                hard_budget(overrides.get(unit.name, base)),
-                            )
-                        except (BrokenPipeError, OSError):
-                            # Slot died before taking the unit — not the
-                            # unit's fault, but the lease is ours: report
-                            # the death so the coordinator re-queues
-                            # without waiting out the lease.
-                            worker.task = None
-                            self._report_death(
-                                summary, unit, "worker slot died on assign"
-                            )
-                            worker.kill()
-                            workers[workers.index(worker)] = spawn()
-                busy = [w.conn for w in workers if w.task is not None]
-                if busy:
-                    ready = mp_connection.wait(busy, timeout=_POLL_SECONDS)
-                else:
-                    ready = []
-                    if not self._lost.is_set():
-                        time.sleep(
-                            wait_seconds if waited else _POLL_SECONDS
-                        )
-                for slot, worker in enumerate(workers):
-                    unit = worker.task
-                    if unit is None:
-                        continue
-                    if worker.conn in ready:
-                        try:
-                            message = worker.conn.recv()
-                        except (EOFError, OSError):
-                            worker.process.join(timeout=1.0)
-                            exitcode = worker.process.exitcode
-                            worker.kill()
-                            self._report_death(
-                                summary,
-                                unit,
-                                f"worker process died (exitcode={exitcode})",
-                            )
-                            workers[slot] = spawn()
-                            continue
-                        _, _, outcome = message
-                        worker.task = None
-                        send_result(unit, outcome)
-                        continue
-                    if worker.overdue(time.perf_counter()):
-                        seconds = time.perf_counter() - worker.started
-                        worker.kill()
-                        send_result(
-                            unit,
-                            TvOutcome(
-                                unit.name,
-                                Category.TIMEOUT,
-                                detail=(
-                                    "hard wall-clock kill"
-                                    " (worker unresponsive)"
-                                ),
-                                seconds=seconds,
-                                failure_class=FAILURE_CLASS_TIMEOUT,
-                            ),
-                        )
-                        summary.timeouts += 1
-                        workers[slot] = spawn()
+            return units.run()
         finally:
             self._drain.set()  # stops the heartbeat thread
-            for worker in workers:
-                try:
-                    if worker.task is not None:
-                        worker.kill()
-                    else:
-                        worker.shutdown()
-                except Exception:
-                    pass
             if not self._lost.is_set():
                 self._request({"type": "goodbye", "worker_id": self.worker_id})
-            if self._channel is not None:
-                self._channel.close()
+            self._channel.close()
             heartbeat.join(timeout=2.0)
-        return summary
-
-    def _report_death(
-        self, summary: WorkerSummary, unit: _Unit, detail: str
-    ) -> None:
-        summary.deaths_reported += 1
-        self._request(
-            {
-                "type": "worker_death",
-                "worker_id": self.worker_id,
-                "unit": unit.name,
-                "lease_id": unit.lease_id,
-                "attempt": unit.attempt,
-                "detail": detail,
-            }
-        )
 
 
 def run_worker(config: WorkerConfig) -> WorkerSummary:

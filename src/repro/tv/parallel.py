@@ -17,12 +17,17 @@ the GIL).  The design constraints:
   matter which worker finished first.
 - **Hard kill-and-reap.**  The per-function ``wall_budget_seconds`` is
   enforced cooperatively inside KEQ, but a worker stuck outside a budget
-  check (or in a pathological parse) would stall the pool.  The
-  dispatcher tracks a hard deadline per in-flight task; an overdue worker
-  is terminated, its task recorded as ``Category.TIMEOUT``, and a fresh
-  worker spawned in its place.  A worker that dies (crash, OOM-kill)
-  similarly yields ``Category.OTHER`` with the exit detail, and the pool
+  check (or in a pathological parse) would stall the pool.  The pool
+  tracks a hard deadline per in-flight task; an overdue worker is
+  terminated, its task recorded as ``Category.TIMEOUT``, and a fresh
+  worker spawned in its place.  A worker that dies (crash, OOM-kill) is
+  reaped and yields ``Category.OTHER`` with its exit code, and the pool
   keeps draining.
+
+:class:`WorkerPool` is the one slot pool of the code base: it drives
+:func:`run_batch_parallel` here and the campaign unit loop
+(:class:`repro.campaign.supervisor.UnitLoop`), which runs both local
+campaigns and distributed service workers.
 
 Each worker keeps one :class:`repro.smt.cache.QueryCache` for its
 lifetime; with ``cache_dir`` set, decided queries are shared across
@@ -108,9 +113,17 @@ def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
 
 
 @dataclass
-class _Task:
+class Task:
+    """One unit of work for a pool slot (``Worker.assign`` reads ``index``
+    and ``name``); the campaign job table adds its shard, attempt, lease
+    and backoff."""
+
     index: int
     name: str
+    shard: int = 0
+    attempt: int = 1
+    lease_id: str = ""
+    not_before: float = 0.0
 
 
 class Worker:
@@ -125,11 +138,11 @@ class Worker:
         )
         self.process.start()
         child_conn.close()
-        self.task: _Task | None = None
+        self.task: Task | None = None
         self.started: float = 0.0
         self.deadline: float | None = None
 
-    def assign(self, task: _Task, hard_budget: float | None) -> None:
+    def assign(self, task: Task, hard_budget: float | None) -> None:
         self.task = task
         self.started = time.perf_counter()
         self.deadline = (
@@ -177,6 +190,166 @@ def hard_budget(
     return wall * grace_factor + grace_slack
 
 
+def _clamp_jobs(jobs: int | None, validate) -> int:
+    """Pool size for ``jobs`` requested slots (None = one per core)."""
+    cores = available_cpus()
+    if jobs is None:
+        return cores
+    if validate is None and jobs > cores:
+        # Workers run pure-Python CPU-bound search: oversubscribing cores
+        # only adds scheduler thrash (BENCH_parallel.json measured jobs=4 at
+        # 0.24x sequential on a 1-core box).  Injected ``validate`` hooks
+        # (test harnesses exercising pool mechanics) keep the requested
+        # fan-out.
+        logger.info(
+            "clamping jobs=%d to cpu_count=%d (avoiding oversubscription)",
+            jobs,
+            cores,
+        )
+        return cores
+    return max(1, jobs)
+
+
+@dataclass
+class SlotEvent:
+    """What became of one submitted task: ``done`` (the worker replied),
+    ``died`` (the worker process died under it) or ``killed`` (hard
+    wall-clock kill).  ``outcome`` is the worker's reply, or the
+    ``other``/``timeout`` outcome the pool records for a death or kill."""
+
+    kind: str
+    task: Task
+    outcome: TvOutcome
+
+
+class WorkerPool:
+    """Up to ``size`` worker slots, spawned on demand.
+
+    :meth:`submit` hands a task to an idle slot; :meth:`wait` turns every
+    reply, death (reaped, with its exit code) and overdue hard kill into
+    one :class:`SlotEvent`.  A dead or killed slot is closed and dropped;
+    the next :meth:`submit` spawns its replacement.
+    """
+
+    def __init__(
+        self,
+        size: int | None,
+        module_text: str,
+        options: TvOptions | None,
+        overrides: dict[str, TvOptions],
+        cache_dir: str | None,
+        validate=None,
+        grace_factor: float = _GRACE_FACTOR,
+        grace_slack: float = _GRACE_SLACK,
+    ):
+        self.size = _clamp_jobs(size, validate)
+        self._ctx = mp.get_context("spawn")
+        self._worker_args = (module_text, options, overrides, cache_dir, validate)
+        self._options = options
+        self._overrides = overrides
+        self._grace = (grace_factor, grace_slack)
+        self._slots: list[Worker] = []
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    @property
+    def busy(self) -> int:
+        return sum(1 for worker in self._slots if worker.task is not None)
+
+    @property
+    def idle(self) -> int:
+        """Tasks :meth:`submit` can take right now."""
+        return self.size - self.busy
+
+    def submit(self, task: Task) -> None:
+        """Run ``task`` on an idle slot (the caller checks :attr:`idle`).
+
+        A slot found dead before it takes the task is replaced and the
+        task handed to the replacement: the task never ran, so no event
+        is reported for it."""
+        budget = hard_budget(
+            self._overrides.get(task.name, self._options), *self._grace
+        )
+        while True:
+            worker = next((w for w in self._slots if w.task is None), None)
+            if worker is None:
+                worker = Worker(self._ctx, *self._worker_args)
+                self._slots.append(worker)
+            try:
+                if worker.process.is_alive():
+                    worker.assign(task, budget)
+                    return
+            except (BrokenPipeError, OSError):
+                pass
+            # The slot died while idle: replace it, charge nobody.
+            worker.task = None
+            self._discard(worker)
+
+    def wait(self, timeout: float | None = None) -> list[SlotEvent]:
+        """Wait up to ``timeout`` seconds for the busy slots; returns the
+        events in slot order.  Sleeps when no slot is busy."""
+        timeout = _POLL_SECONDS if timeout is None else timeout
+        busy = [worker for worker in self._slots if worker.task is not None]
+        if not busy:
+            time.sleep(timeout)
+            return []
+        ready = mp_connection.wait([w.conn for w in busy], timeout=timeout)
+        events = []
+        for worker in busy:
+            task = worker.task
+            if worker.conn in ready:
+                try:
+                    _, _, outcome = worker.conn.recv()
+                except (EOFError, OSError):
+                    # The worker died mid-task (crash, OOM-kill, SIGKILL).
+                    worker.process.join(timeout=1.0)  # reap for the exit code
+                    outcome = TvOutcome(
+                        task.name,
+                        Category.OTHER,
+                        detail=(
+                            "worker process died"
+                            f" (exitcode={worker.process.exitcode})"
+                        ),
+                        seconds=time.perf_counter() - worker.started,
+                        failure_class=FAILURE_CLASS_CRASH,
+                    )
+                    worker.task = None
+                    self._discard(worker)
+                    events.append(SlotEvent("died", task, outcome))
+                    continue
+                worker.task = None
+                events.append(SlotEvent("done", task, outcome))
+            elif worker.overdue(time.perf_counter()):
+                # Hung worker: hard kill-and-reap, classify as TIMEOUT.
+                outcome = TvOutcome(
+                    task.name,
+                    Category.TIMEOUT,
+                    detail="hard wall-clock kill (worker unresponsive)",
+                    seconds=time.perf_counter() - worker.started,
+                    failure_class=FAILURE_CLASS_TIMEOUT,
+                )
+                self._discard(worker)
+                events.append(SlotEvent("killed", task, outcome))
+        return events
+
+    def _discard(self, worker: Worker) -> None:
+        worker.kill()
+        self._slots.remove(worker)
+
+    def close(self) -> None:
+        """Stop idle slots, kill busy ones, and reap them all."""
+        slots, self._slots = self._slots, []
+        for worker in slots:
+            if worker.task is not None:
+                worker.kill()
+            else:
+                worker.shutdown()
+
+
 def run_batch_parallel(
     module: ir.Module,
     options: TvOptions | None = None,
@@ -199,22 +372,7 @@ def run_batch_parallel(
     """
     names = function_names if function_names is not None else list(module.functions)
     overrides = overrides or {}
-    cores = available_cpus()
-    if jobs is None:
-        jobs = cores
-    elif validate is None and jobs > cores:
-        # Workers run pure-Python CPU-bound search: oversubscribing cores
-        # only adds scheduler thrash (BENCH_parallel.json measured jobs=4 at
-        # 0.24x sequential on a 1-core box).  Injected ``validate`` hooks
-        # (test harnesses exercising pool mechanics) keep the requested
-        # fan-out.
-        logger.info(
-            "clamping jobs=%d to cpu_count=%d (avoiding oversubscription)",
-            jobs,
-            cores,
-        )
-        jobs = cores
-    jobs = max(1, min(jobs, len(names) or 1))
+    jobs = min(_clamp_jobs(jobs, validate), len(names) or 1)
     if jobs == 1 and validate is None:
         # One effective worker gains nothing from the pool but pays spawn
         # and re-parse costs; run_batch is outcome-identical.
@@ -226,92 +384,23 @@ def run_batch_parallel(
             overrides=overrides,
             cache_dir=cache_dir,
         )
-    module_text = str(module)
-    ctx = mp.get_context("spawn")
-
-    pending = deque(_Task(i, name) for i, name in enumerate(names))
+    pending = deque(Task(index, name) for index, name in enumerate(names))
     outcomes: dict[int, TvOutcome] = {}
-    workers: list[Worker] = []
-
-    def spawn() -> Worker:
-        return Worker(ctx, module_text, options, overrides, cache_dir, validate)
-
-    def budget_for(task: _Task) -> float | None:
-        return hard_budget(
-            overrides.get(task.name, options), grace_factor, grace_slack
-        )
-
-    try:
-        workers = [spawn() for _ in range(jobs)]
+    with WorkerPool(
+        jobs,
+        str(module),
+        options,
+        overrides,
+        cache_dir,
+        validate,
+        grace_factor,
+        grace_slack,
+    ) as pool:
         while len(outcomes) < len(names):
-            for worker in list(workers):
-                if worker.task is None and pending:
-                    task = pending.popleft()
-                    try:
-                        worker.assign(task, budget_for(task))
-                    except (BrokenPipeError, OSError):
-                        # The worker died before taking work: requeue the
-                        # task and replace the worker.
-                        pending.appendleft(task)
-                        worker.task = None
-                        worker.kill()
-                        workers.remove(worker)
-                        workers.append(spawn())
-            ready = mp_connection.wait(
-                [w.conn for w in workers if w.task is not None],
-                timeout=_POLL_SECONDS,
-            )
-            replacements: list[Worker] = []
-            dead: list[Worker] = []
-            for worker in workers:
-                if worker.task is None:
-                    continue
-                task = worker.task
-                if worker.conn in ready:
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        # The worker died mid-task (crash, OOM-kill, ...).
-                        exitcode = worker.process.exitcode
-                        outcomes[task.index] = TvOutcome(
-                            task.name,
-                            Category.OTHER,
-                            detail=f"worker process died (exitcode={exitcode})",
-                            seconds=time.perf_counter() - worker.started,
-                            failure_class=FAILURE_CLASS_CRASH,
-                        )
-                        dead.append(worker)
-                        if pending:
-                            replacements.append(spawn())
-                        continue
-                    _, index, outcome = message
-                    outcomes[index] = outcome
-                    worker.task = None
-                    continue
-                if worker.overdue(time.perf_counter()):
-                    # Hung worker: hard kill-and-reap, classify as TIMEOUT.
-                    worker.kill()
-                    outcomes[task.index] = TvOutcome(
-                        task.name,
-                        Category.TIMEOUT,
-                        detail="hard wall-clock kill (worker unresponsive)",
-                        seconds=time.perf_counter() - worker.started,
-                        failure_class=FAILURE_CLASS_TIMEOUT,
-                    )
-                    dead.append(worker)
-                    if pending:
-                        replacements.append(spawn())
-            for worker in dead:
-                workers.remove(worker)
-            workers.extend(replacements)
-            if not workers and len(outcomes) < len(names):
-                workers = [spawn() for _ in range(min(jobs, len(pending) or 1))]
-    finally:
-        for worker in workers:
-            if worker.task is not None:
-                worker.kill()
-            else:
-                worker.shutdown()
+            while pending and pool.idle:
+                pool.submit(pending.popleft())
+            for event in pool.wait():
+                outcomes[event.task.index] = event.outcome
 
     result = BatchResult(outcomes=[outcomes[i] for i in range(len(names))])
     result.merge_stats()

@@ -6,6 +6,9 @@ which spawn children inherit.  The corpus is tiny (scale=8) so each
 campaign run takes a couple of seconds.
 """
 
+import multiprocessing
+from collections import deque
+
 import pytest
 
 from repro.campaign import (
@@ -88,6 +91,17 @@ class TestHaltAndResume:
         )
         assert report.function_table() == plain.function_table()
 
+    def test_halt_leaves_no_worker_processes(self, tmp_path, monkeypatch):
+        directory = str(tmp_path / "camp")
+        monkeypatch.setenv(KILL_ONCE_ENV, VICTIM)
+        monkeypatch.setenv(KILL_DIR_ENV, directory)
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                directory,
+                config(halt_on_worker_death=True, validate=sigkill_injector),
+            )
+        assert multiprocessing.active_children() == []
+
     def test_resume_without_manifest_raises(self, tmp_path):
         with pytest.raises(CampaignError, match="manifest"):
             resume_campaign(str(tmp_path / "void"))
@@ -158,3 +172,30 @@ class TestQuarantine:
         assert list(report.quarantined) == [VICTIM]
         assert "worker deaths" in report.quarantined[VICTIM]
 
+
+
+class TestDispatchOrder:
+    def test_jobs1_starts_follow_shard_round_robin(self, tmp_path):
+        """With one worker, functions start in shard round-robin order from
+        shard 0 — the order that decides which functions share a worker's
+        query cache, and so the campaign's solver counters."""
+        directory = str(tmp_path / "camp")
+        run_campaign(directory, config(jobs=1))
+        manifest = load_manifest(directory)
+        run_names = set(manifest["run_names"])
+        queues = [
+            deque(name for name in shard if name in run_names)
+            for shard in manifest["shard_lists"]
+        ]
+        expected = []
+        while any(queues):
+            for queue in queues:
+                if queue:
+                    expected.append(queue.popleft())
+        starts = [
+            event["fn"]
+            for event in read_events(directory)
+            if event["event"] == "start"
+        ]
+        assert len(manifest["shard_lists"]) == 2
+        assert starts == expected

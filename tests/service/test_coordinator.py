@@ -13,7 +13,7 @@ import pytest
 from repro.campaign import CampaignConfig, load_state, read_events
 from repro.campaign.journal import Journal, outcome_to_json
 from repro.campaign.supervisor import prepare_campaign
-from repro.service.coordinator import Coordinator, ServiceConfig
+from repro.campaign.coordinator import Coordinator, ServiceConfig
 from repro.tv.driver import Category, TvOutcome
 
 

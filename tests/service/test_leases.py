@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service.leases import LeaseTable
+from repro.campaign.leases import LeaseTable
 
 
 def table(duration=10.0):

@@ -8,6 +8,7 @@ directory can be *finished* by the service, because both drivers share
 the manifest, journal, and merger.
 """
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -162,6 +163,17 @@ class TestLoopbackService:
             include_timing=False
         )
         assert report.function_table() == baseline.function_table()
+
+    def test_drained_worker_leaves_no_processes(self, tmp_path):
+        with CoordinatorThread(
+            str(tmp_path / "svc"),
+            config(scale=4),
+            ServiceConfig(heartbeat_seconds=1.0),
+        ) as coordinator:
+            (summary,) = run_workers(coordinator.address, 1)
+        assert coordinator.join().complete
+        assert summary.drained_clean
+        assert multiprocessing.active_children() == []
 
     def test_sigkilled_worker_mid_lease_recovers(self, tmp_path):
         """One worker is armed to SIGKILL its whole process the first time

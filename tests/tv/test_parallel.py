@@ -1,11 +1,17 @@
 """Tests for the parallel batch driver (fan-out, hard kill, determinism)."""
 
+import multiprocessing
 import time
 
 from repro.keq import KeqOptions
 from repro.tv import Category, TvOptions
 from repro.tv.batch import corpus_overrides, run_batch, run_corpus
-from repro.tv.parallel import default_validate, run_batch_parallel
+from repro.tv.parallel import (
+    Task,
+    WorkerPool,
+    default_validate,
+    run_batch_parallel,
+)
 from repro.workloads import FunctionShape, gcc_like_corpus, generate_module
 
 
@@ -35,6 +41,12 @@ def die_on_marked(module, name, options, cache):
 
         os._exit(17)  # simulate a segfault/OOM-kill: no exception, no reply
     return default_validate(module, name, options, cache)
+
+
+def hang_and_die_on_marked(module, name, options, cache):
+    if "hang" in name:
+        time.sleep(3600)
+    return die_on_marked(module, name, options, cache)
 
 
 class TestJobsOneIdentity:
@@ -200,9 +212,88 @@ class TestHardKill:
         )
         by_name = {o.function: o for o in result.outcomes}
         assert by_name["die_hard"].category == Category.OTHER
-        assert "worker process died" in by_name["die_hard"].detail
+        assert "worker process died (exitcode=17)" in by_name["die_hard"].detail
         assert by_name["ok_one"].category == Category.SUCCEEDED
         assert by_name["ok_two"].category == Category.SUCCEEDED
+
+
+class TestWorkerPool:
+    def _module(self):
+        return generate_module(
+            [
+                ("ok_one", FunctionShape(loops=0, diamonds=0), 1),
+                ("ok_two", FunctionShape(loops=0, diamonds=0), 2),
+            ]
+        )
+
+    @staticmethod
+    def _drain(pool, count):
+        events = []
+        deadline = time.monotonic() + 60
+        while len(events) < count and time.monotonic() < deadline:
+            events.extend(pool.wait())
+        return events
+
+    def test_idle_slot_death_hands_the_task_to_a_replacement(self):
+        """A slot that dies before it takes a task is not the task's fault:
+        the pool replaces it and reports the task once, as done."""
+        module = self._module()
+        with WorkerPool(
+            1, str(module), TvOptions(), {}, None, validate=default_validate
+        ) as pool:
+            pool.submit(Task(0, "ok_one"))
+            assert [e.kind for e in self._drain(pool, 1)] == ["done"]
+            (idle,) = pool._slots
+            idle.process.terminate()
+            idle.process.join(timeout=10)
+            assert not idle.process.is_alive()
+            pool.submit(Task(1, "ok_two"))
+            events = self._drain(pool, 1)
+            assert [(e.kind, e.task.name) for e in events] == [
+                ("done", "ok_two")
+            ]
+            assert events[0].outcome.category == Category.SUCCEEDED
+            assert pool.wait(0.2) == []  # nothing else is pending
+            assert idle not in pool._slots
+        assert multiprocessing.active_children() == []
+
+    def test_death_is_reaped_with_its_exit_code(self):
+        module = generate_module(
+            [("die_hard", FunctionShape(loops=0, diamonds=0), 1)]
+        )
+        with WorkerPool(
+            1, str(module), TvOptions(), {}, None, validate=die_on_marked
+        ) as pool:
+            pool.submit(Task(0, "die_hard"))
+            (event,) = self._drain(pool, 1)
+            assert event.kind == "died"
+            assert event.outcome.detail == "worker process died (exitcode=17)"
+            assert pool.busy == 0 and pool._slots == []
+
+
+class TestOrphanHygiene:
+    def test_no_children_survive_a_batch_with_hung_and_dying_workers(self):
+        module = generate_module(
+            [
+                ("hang_me", FunctionShape(loops=0, diamonds=0), 1),
+                ("die_hard", FunctionShape(loops=0, diamonds=0), 2),
+                ("ok_one", FunctionShape(loops=0, diamonds=0), 3),
+            ]
+        )
+        options = TvOptions(keq=KeqOptions(wall_budget_seconds=0.2))
+        result = run_batch_parallel(
+            module,
+            options,
+            jobs=2,
+            validate=hang_and_die_on_marked,
+            grace_factor=1.0,
+            grace_slack=3.0,  # room for worker start-up before a death
+        )
+        by_name = {o.function: o for o in result.outcomes}
+        assert by_name["hang_me"].category == Category.TIMEOUT
+        assert by_name["die_hard"].category == Category.OTHER
+        assert by_name["ok_one"].category == Category.SUCCEEDED
+        assert multiprocessing.active_children() == []
 
 
 class TestParallelCorpusAndCache:
