@@ -6,7 +6,9 @@ term layer is hash-consed) are encoded exactly once.  The cache also makes
 the blaster *reusable across goals*: a solver session that checks many
 obligations sharing a conjunct prefix bit-blasts the prefix once, and each
 later goal only encodes its delta (``encode_hits``/``encode_misses`` count
-the sharing).
+the sharing).  Below the term cache, gates are structurally hashed, so
+equal circuits built from different terms (``x * 3`` and ``(x << 1) + x``)
+share their literals too.
 
 Bitvectors become little-endian lists of SAT literals (``bits[0]`` is the
 least significant bit).  Constant bits are represented as the literal of a
@@ -32,10 +34,22 @@ class BitBlaster:
         self._bv_cache: dict[Term, Bits] = {}
         self._var_bits: dict[str, Bits] = {}
         self._bool_vars: dict[str, int] = {}
+        #: structural-hash tables: normalized gate inputs -> gate literal
+        self._and_table: dict[tuple[int, ...], int] = {}
+        self._xor_table: dict[tuple[int, int], int] = {}
+        self._ite_table: dict[tuple[int, int, int], int] = {}
         self.encode_hits = 0
         self.encode_misses = 0
 
     # -- small gate helpers ---------------------------------------------------
+    #
+    # Gates are structurally hashed: after normalization (constants dropped,
+    # ``x & ~x`` folded, negations moved out of XOR/ITE) each gate is keyed
+    # on its inputs, sorted for AND and XOR, and a gate already built on the
+    # same key is returned instead of a fresh variable.  Commuted operands
+    # therefore share one circuit.  A new gate's clauses keep the inputs in
+    # the order the caller gave them: that order seeds the solver's watch
+    # lists, and the search is sensitive to it.
 
     def const_lit(self, value: bool) -> int:
         return self._true if value else -self._true
@@ -44,59 +58,91 @@ class BitBlaster:
         return self.solver.new_var()
 
     def _and_gate(self, literals: list[int]) -> int:
-        literals = [lit for lit in literals if lit != self._true]
-        if any(lit == -self._true for lit in literals):
-            return -self._true
-        if not literals:
-            return self._true
-        if len(literals) == 1:
-            return literals[0]
-        gate = self._fresh()
+        true = self._true
+        inputs: list[int] = []
+        seen: set[int] = set()
         for lit in literals:
+            if lit == true or lit in seen:
+                continue
+            if lit == -true or -lit in seen:
+                return -true
+            seen.add(lit)
+            inputs.append(lit)
+        if not inputs:
+            return true
+        if len(inputs) == 1:
+            return inputs[0]
+        key = tuple(sorted(inputs))
+        gate = self._and_table.get(key)
+        if gate is not None:
+            return gate
+        gate = self._and_table[key] = self._fresh()
+        for lit in inputs:
             self.solver.add_clause([-gate, lit])
-        self.solver.add_clause([gate] + [-lit for lit in literals])
+        self.solver.add_clause([gate] + [-lit for lit in inputs])
         return gate
 
     def _or_gate(self, literals: list[int]) -> int:
         return -self._and_gate([-lit for lit in literals])
 
     def _xor_gate(self, a: int, b: int) -> int:
-        if a == self._true:
-            return -b
-        if a == -self._true:
-            return b
-        if b == self._true:
-            return -a
-        if b == -self._true:
-            return a
-        if a == b:
-            return -self._true
-        if a == -b:
-            return self._true
-        gate = self._fresh()
-        self.solver.add_clause([-gate, a, b])
-        self.solver.add_clause([-gate, -a, -b])
-        self.solver.add_clause([gate, -a, b])
-        self.solver.add_clause([gate, a, -b])
-        return gate
+        true = self._true
+        flip = False
+        if a < 0:
+            a, flip = -a, not flip
+        if b < 0:
+            b, flip = -b, not flip
+        if a == true:
+            out = -b
+        elif b == true:
+            out = -a
+        elif a == b:
+            out = -true
+        else:
+            key = (a, b) if a < b else (b, a)
+            out = self._xor_table.get(key)
+            if out is None:
+                out = self._xor_table[key] = self._fresh()
+                self.solver.add_clause([-out, a, b])
+                self.solver.add_clause([-out, -a, -b])
+                self.solver.add_clause([out, -a, b])
+                self.solver.add_clause([out, a, -b])
+        return -out if flip else out
 
     def _iff_gate(self, a: int, b: int) -> int:
         return -self._xor_gate(a, b)
 
     def _mux_gate(self, cond: int, then: int, other: int) -> int:
         """out = cond ? then : other."""
-        if cond == self._true:
+        true = self._true
+        if cond < 0:
+            cond, then, other = -cond, other, then
+        if cond == true:
             return then
-        if cond == -self._true:
-            return other
         if then == other:
             return then
-        gate = self._fresh()
-        self.solver.add_clause([-cond, -then, gate])
-        self.solver.add_clause([-cond, then, -gate])
-        self.solver.add_clause([cond, -other, gate])
-        self.solver.add_clause([cond, other, -gate])
-        return gate
+        if then == -other:
+            return self._iff_gate(cond, then)
+        if then == true or then == cond:
+            return self._or_gate([cond, other])
+        if then == -true or then == -cond:
+            return self._and_gate([-cond, other])
+        if other == true or other == -cond:
+            return self._or_gate([-cond, then])
+        if other == -true or other == cond:
+            return self._and_gate([cond, then])
+        flip = then < 0
+        if flip:
+            then, other = -then, -other
+        key = (cond, then, other)
+        gate = self._ite_table.get(key)
+        if gate is None:
+            gate = self._ite_table[key] = self._fresh()
+            self.solver.add_clause([-cond, -then, gate])
+            self.solver.add_clause([-cond, then, -gate])
+            self.solver.add_clause([cond, -other, gate])
+            self.solver.add_clause([cond, other, -gate])
+        return -gate if flip else gate
 
     def _full_adder(self, a: int, b: int, carry: int) -> tuple[int, int]:
         """Returns (sum, carry_out)."""
@@ -335,46 +381,49 @@ class BitBlaster:
         raise ValueError(f"cannot encode bitvector operation {op!r}")
 
     def _encode_udiv_urem(self, term: Term) -> Bits:
-        """Encode both quotient and remainder with auxiliary variables.
+        """Encode quotient and remainder with a restoring divider.
 
-        We assert the defining relation once per (dividend, divisor) pair:
-        ``b != 0  ->  a == b*q + r  and  r <u b`` computed at double width so
-        the multiplication cannot wrap, and the SMT-LIB division-by-zero
-        convention (``q = ~0``, ``r = a``).
+        One compare-and-subtract stage per quotient bit, most significant
+        first: shift the next dividend bit into the partial remainder,
+        subtract the divisor, and keep the difference iff it did not
+        borrow.  The circuit is functional, so fixed operands fix the result
+        by propagation alone.  A zero divisor never borrows, which yields
+        SMT-LIB's ``q = ~0``, ``r = a`` with no special case.
+
+        Before the stage for dividend bit ``i`` the partial remainder is
+        below ``a >> i``, so the stage only needs its low ``width - i``
+        bits; a divisor with a set bit above them always borrows.
         """
         a, b = term.args
         width = term.width
-        key_q = t.Term("udiv", (a, b), (), t.bv_sort(width))
-        key_r = t.Term("urem", (a, b), (), t.bv_sort(width))
-        if key_q in self._bv_cache and key_r in self._bv_cache:
-            return self._bv_cache[key_q if term.op == "udiv" else key_r]
-        bits_q = [self._fresh() for _ in range(width)]
-        bits_r = [self._fresh() for _ in range(width)]
-        self._bv_cache[key_q] = bits_q
-        self._bv_cache[key_r] = bits_r
         bits_a = self.encode_bv(a)
         bits_b = self.encode_bv(b)
-        pad = [-self._true] * width
-        wide_q = bits_q + pad
-        wide_b = bits_b + pad
-        wide_r = bits_r + pad
-        wide_a = bits_a + pad
-        product = self._mul_bits(wide_q, wide_b)
-        total = self._add_bits(product, wide_r)
-        relation = self._and_gate(
-            [self._eq_bits(total, wide_a), self._ult_bits(bits_r, bits_b)]
-        )
-        b_is_zero = self._eq_bits(bits_b, self._const_bits(0, width))
-        zero_case = self._and_gate(
-            [
-                self._eq_bits(bits_q, self._const_bits(t.mask(width), width)),
-                self._eq_bits(bits_r, bits_a),
+        false = -self._true
+        # high_set[k]: some divisor bit at position k or above is set.
+        high_set = [false] * (width + 1)
+        for index in reversed(range(width)):
+            high_set[index] = self._or_gate([bits_b[index], high_set[index + 1]])
+        remainder: Bits = []
+        quotient = [false] * width
+        for index in reversed(range(width)):
+            # The significant bits of (remainder << 1) | a[index].
+            shifted = [bits_a[index]] + remainder
+            size = len(shifted)
+            # shifted - b as shifted + ~b + 1; the carry out is "no borrow".
+            carry = self._true
+            difference: Bits = []
+            for bit_s, bit_b in zip(shifted, bits_b):
+                total, carry = self._full_adder(bit_s, -bit_b, carry)
+                difference.append(total)
+            no_borrow = self._and_gate([carry, -high_set[size]])
+            quotient[index] = no_borrow
+            remainder = [
+                self._mux_gate(no_borrow, bit_d, bit_s)
+                for bit_d, bit_s in zip(difference, shifted)
             ]
-        )
-        self.solver.add_clause(
-            [self._mux_gate(b_is_zero, zero_case, relation)]
-        )
-        return bits_q if term.op == "udiv" else bits_r
+        self._bv_cache[t.Term("udiv", (a, b), (), t.bv_sort(width))] = quotient
+        self._bv_cache[t.Term("urem", (a, b), (), t.bv_sort(width))] = remainder
+        return quotient if term.op == "udiv" else remainder
 
     def _encode_signed_div(self, term: Term) -> Bits:
         """Rewrite sdiv/srem into sign-handled udiv/urem terms and encode."""

@@ -549,12 +549,14 @@ class SolverSession:
 
     The session keeps one :class:`~repro.smt.sat.SatSolver` and one
     :class:`~repro.smt.bitblast.BitBlaster` alive across :meth:`check`
-    calls.  Shared conjuncts (the session's base ``assumptions`` plus any
-    per-check ``assumptions``) are encoded once — their Tseitin gate
+    calls.  The session's base ``assumptions`` hold in every check, so they
+    are asserted once, at the root, when the blaster is created: their
+    consequences are propagated once, not again on every check.  Per-check
+    ``assumptions`` and the delta are encoded once each — their Tseitin gate
     literals double as MiniSat-style *indicator literals* — and every check
     solves under those literals as assumptions, so nothing checked here
     ever poisons the clause database: learned clauses are implied by the
-    gate definitions and valid lemmas alone.
+    base, the gate definitions and valid lemmas alone.
 
     Soundness with the fresh path: each check first consults the same
     memo/cache/witness/skeleton fast paths as :meth:`Solver.check_sat`,
@@ -562,9 +564,10 @@ class SolverSession:
     decided results are stored back under that same key — the cached and
     incremental paths answer from one namespace.
 
-    ``last_core`` holds, after an UNSAT check, the subset of assumption
-    *terms* the refutation used (session base + per-check), mapped back
-    from the SAT-level unsat core.
+    ``last_core`` holds, after an UNSAT check, the assumption *terms* the
+    refutation may have used: every base term (they are root clauses, so
+    the SAT core cannot single them out; a superset of a core is still a
+    core) plus the per-check terms in the SAT-level unsat core.
     """
 
     def __init__(self, solver: Solver, assumptions: Iterable[Term] = ()):
@@ -589,6 +592,8 @@ class SolverSession:
         if self._blaster is None:
             self._sat = SatSolver()
             self._blaster = BitBlaster(self._sat)
+            for term in self._base:
+                self._blaster.assert_term(simplify(term))
         return self._blaster
 
     def _assume_lit(self, term: Term) -> int:
@@ -641,7 +646,10 @@ class SolverSession:
         if lemmas is not t.TRUE and lemmas not in self._lemmas_asserted:
             self._lemmas_asserted.add(lemmas)
             blaster.assert_term(lemmas)
-        assume_lits = [self._assume_lit(term) for term in ordered]
+        base = set(self._base)
+        assume_lits = [
+            self._assume_lit(term) for term in ordered if term not in base
+        ]
         delta_lit = self._assume_lit(delta)
         stats.clauses_reused += sat_solver.stats.learned
         stats.encode_cache_hits += blaster.encode_hits - encode_hits_before
@@ -678,7 +686,7 @@ class SolverSession:
             self.last_core = [
                 term
                 for term in dict.fromkeys([*ordered, delta])
-                if self._assume_lits.get(term) in core_lits
+                if term in base or self._assume_lits.get(term) in core_lits
             ]
             solver._memo[combined] = Result.UNSAT
             return Result.UNSAT

@@ -116,6 +116,28 @@ class TestSessionCore:
             assert lower in core and upper in core
 
 
+class TestSessionBase:
+    def test_base_is_not_propagated_again_per_check(self):
+        """The base is asserted once at the root: a check whose delta is
+        refuted without search propagates nothing, however large the base
+        circuit is (as assumptions, the base would be re-propagated)."""
+        x, y, z = bv("x"), bv("y"), bv("z")
+        base = [t.eq(y, t.mul(x, t.add(x, const(1)))), t.ult(x, const(200))]
+        solver = Solver()
+        with solver.session(base) as session:
+            per_check = []
+            for i in range(4):
+                before = solver.stats.propagations
+                # z*(z+3) is even: bit 0 of the product folds to false.
+                delta = t.eq(t.mul(z, t.add(z, const(3))), const(2 * i + 1))
+                assert session.check(delta) is Result.UNSAT
+                assert set(base) <= set(session.last_core)
+                per_check.append(solver.stats.propagations - before)
+        assert solver.stats.sat_calls == 4
+        assert per_check[0] > 0  # the root propagation of the base
+        assert per_check[1:] == [0, 0, 0]
+
+
 class TestSessionStats:
     def test_incremental_counters(self):
         x, y = bv("x"), bv("y")
