@@ -1,15 +1,16 @@
-"""Target-independent machine-IR containers and operand kinds.
+"""Target-independent machine IR: containers, operands and the instruction record.
 
 Every virtual target (``repro.vx86``, ``repro.vriscv``) describes its
 programs with the same containers — :class:`MachineBlock` lists of
-uniform instruction records inside a :class:`MachineFunction` — and the
-same operand vocabulary: virtual registers, physical-register views,
+:class:`MInstr` records inside a :class:`MachineFunction` — and the same
+operand vocabulary: virtual registers, physical-register views,
 immediates, labels and memory references.  What differs per target is
-the opcode vocabulary and the instruction record validating it, so each
-target defines its own ``MInstr`` dataclass; the only contract the
-shared containers rely on is ``branch_targets()`` (the labels an
-instruction may transfer control to) and the ``COPY``/``PHI``
-pseudo-ops shared by every ISel lowering.
+data: each target subclasses :class:`MInstr` with its opcode table, its
+physical-register class and its mnemonics for the operations every
+target has (jump, conditional branches, move, extensions, address-of).
+The text parser (:mod:`repro.mir.parser`) and the stepping skeleton
+(:mod:`repro.mir.semantics`) read that data and never ask which target
+they serve.
 
 Keeping these shapes in one place is what lets the analyses
 (`repro.analysis.cfg`), the sync-point generator (`repro.vcgen`) and the
@@ -21,7 +22,7 @@ module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol, Union
+from typing import ClassVar, Iterator, Union
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,11 @@ class PhysReg:
 
     name: str
     width: int
+
+    @classmethod
+    def parse(cls, text: str) -> "PhysReg | None":
+        """The register view ``text`` names in this target's notation."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -95,17 +101,69 @@ class MemRef:
 Operand = Union[VReg, PhysReg, Imm, Label, MemRef]
 
 
-class Instruction(Protocol):
-    """What the shared containers require of a target's instruction type."""
+@dataclass(frozen=True)
+class MInstr:
+    """One machine instruction: ``result = opcode(operands)``.
+
+    A target subclasses this record and sets the class-level data below;
+    the subclass adds no fields.
+    """
 
     opcode: str
-    operands: tuple
-    result: object
+    operands: tuple[Operand, ...] = ()
+    result: Union[VReg, PhysReg, None] = None
 
-    def branch_targets(self) -> list[str]: ...
+    #: opcode -> (has_result, operand count excluding result); -1 = variadic.
+    OPCODES: ClassVar[dict[str, tuple[bool, int]]] = {}
+    #: the target's :class:`PhysReg` subclass (its ``parse`` reads names).
+    REGISTER: ClassVar[type[PhysReg]] = PhysReg
+    #: conditional branches; each takes its target label as last operand.
+    BRANCHES: ClassVar[tuple[str, ...]] = ()
+    #: the target's mnemonics for the unconditional jump, the register
+    #: move, zero/sign extension and address-of (which PHI, ``COPY``,
+    #: ``load``, ``store``, ``call`` and ``ret`` join in every target).
+    JUMP: ClassVar[str] = ""
+    MOVE: ClassVar[str] = ""
+    ZEXT: ClassVar[str] = ""
+    SEXT: ClassVar[str] = ""
+    ADDRESS: ClassVar[str] = ""
+
+    def __post_init__(self):
+        if self.opcode not in self.OPCODES:
+            raise ValueError(f"unknown opcode {self.opcode!r}")
+        has_result, arity = self.OPCODES[self.opcode]
+        if has_result and self.result is None:
+            raise ValueError(f"{self.opcode} requires a result register")
+        if not has_result and self.result is not None:
+            raise ValueError(f"{self.opcode} does not produce a result")
+        if arity >= 0 and len(self.operands) != arity:
+            raise ValueError(
+                f"{self.opcode} expects {arity} operands, got {len(self.operands)}"
+            )
+
+    def __str__(self) -> str:
+        opcode = self.opcode
+        if opcode in ("load", "store"):
+            # Print the access width so the textual form parses back
+            # unambiguously (immediates carry no width of their own).
+            mem = self.operands[0]
+            assert isinstance(mem, MemRef)
+            opcode = f"{opcode}{mem.width_bytes * 8}"
+        parts = ", ".join(str(operand) for operand in self.operands)
+        if self.result is not None:
+            return f"{self.result} = {opcode} {parts}".rstrip()
+        return f"{opcode} {parts}".rstrip()
+
+    def branch_targets(self) -> list[str]:
+        if self.opcode == self.JUMP or self.opcode in self.BRANCHES:
+            target = self.operands[-1]
+            assert isinstance(target, Label)
+            return [target.name]
+        return []
 
     @property
-    def is_terminator(self) -> bool: ...
+    def is_terminator(self) -> bool:
+        return self.opcode in (self.JUMP, "ret") or self.opcode in self.BRANCHES
 
 
 @dataclass

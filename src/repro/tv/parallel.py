@@ -87,22 +87,24 @@ def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
         if message[0] == "stop":
             return
         _, index, name = message
+        task_options = overrides.get(name, options)
+        target = (task_options or TvOptions()).target
         if module is None:
             outcome = TvOutcome(
                 name,
                 Category.OTHER,
+                target=target,
                 detail=f"module re-parse failed:\n{detail}",
                 failure_class=FAILURE_CLASS_CRASH,
             )
         else:
             try:
-                outcome = validate(
-                    module, name, overrides.get(name, options), cache
-                )
+                outcome = validate(module, name, task_options, cache)
             except BaseException:
                 outcome = TvOutcome(
                     name,
                     Category.OTHER,
+                    target=target,
                     detail=traceback.format_exc(limit=12),
                     failure_class=FAILURE_CLASS_CRASH,
                 )
@@ -271,9 +273,7 @@ class WorkerPool:
         A slot found dead before it takes the task is replaced and the
         task handed to the replacement: the task never ran, so no event
         is reported for it."""
-        budget = hard_budget(
-            self._overrides.get(task.name, self._options), *self._grace
-        )
+        budget = hard_budget(self._task_options(task), *self._grace)
         while True:
             worker = next((w for w in self._slots if w.task is None), None)
             if worker is None:
@@ -310,6 +310,7 @@ class WorkerPool:
                     outcome = TvOutcome(
                         task.name,
                         Category.OTHER,
+                        target=self._task_options(task).target,
                         detail=(
                             "worker process died"
                             f" (exitcode={worker.process.exitcode})"
@@ -328,6 +329,7 @@ class WorkerPool:
                 outcome = TvOutcome(
                     task.name,
                     Category.TIMEOUT,
+                    target=self._task_options(task).target,
                     detail="hard wall-clock kill (worker unresponsive)",
                     seconds=time.perf_counter() - worker.started,
                     failure_class=FAILURE_CLASS_TIMEOUT,
@@ -335,6 +337,9 @@ class WorkerPool:
                 self._discard(worker)
                 events.append(SlotEvent("killed", task, outcome))
         return events
+
+    def _task_options(self, task: Task) -> TvOptions:
+        return self._overrides.get(task.name, self._options) or TvOptions()
 
     def _discard(self, worker: Worker) -> None:
         worker.kill()

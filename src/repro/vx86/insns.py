@@ -12,16 +12,18 @@ Division is modelled with explicit quotient/remainder opcodes
 expansions before register allocation, and the trap behaviour (#DE on zero
 divisor or quotient overflow) is preserved in the semantics.
 
-The operand kinds and the block/function containers are shared with the
-other virtual targets via :mod:`repro.mir`; this module re-exports them
-so existing importers keep working.
+The operand kinds, the block/function containers and the instruction
+record are shared with the other virtual targets via :mod:`repro.mir`;
+:class:`MInstr` here only supplies this target's opcode table and
+mnemonics, and this module re-exports the shared names so existing
+importers keep working.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
+from repro import mir
 from repro.mir import (
     Imm,
     Label,
@@ -109,12 +111,12 @@ RETURN_REGISTER = "rax"
 class PReg(PhysReg):
     """A physical register access: canonical 64-bit name + view width."""
 
-    @staticmethod
-    def named(alias: str) -> "PReg":
-        if alias not in ALIASES:
-            raise ValueError(f"unknown register {alias!r}")
-        canonical, width = ALIASES[alias]
-        return PReg(canonical, width)
+    @classmethod
+    def parse(cls, text: str) -> "PReg | None":
+        if text not in ALIASES:
+            return None
+        canonical, width = ALIASES[text]
+        return cls(canonical, width)
 
     def __str__(self) -> str:
         for alias, (canonical, width) in ALIASES.items():
@@ -211,47 +213,14 @@ OPCODES: dict[str, tuple[bool, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class MInstr:
-    """One machine instruction: ``result = opcode(operands)``."""
+class MInstr(mir.MInstr):
+    """One Virtual x86 instruction (see :class:`repro.mir.MInstr`)."""
 
-    opcode: str
-    operands: tuple[Operand, ...] = ()
-    result: Union[VReg, PReg, None] = None
-
-    def __post_init__(self):
-        if self.opcode not in OPCODES:
-            raise ValueError(f"unknown opcode {self.opcode!r}")
-        has_result, arity = OPCODES[self.opcode]
-        if has_result and self.result is None:
-            raise ValueError(f"{self.opcode} requires a result register")
-        if not has_result and self.result is not None:
-            raise ValueError(f"{self.opcode} does not produce a result")
-        if arity >= 0 and len(self.operands) != arity:
-            raise ValueError(
-                f"{self.opcode} expects {arity} operands, got {len(self.operands)}"
-            )
-
-    def __str__(self) -> str:
-        opcode = self.opcode
-        if opcode in ("load", "store"):
-            # Print the access width so the textual form parses back
-            # unambiguously (immediates carry no width of their own).
-            mem = self.operands[0]
-            assert isinstance(mem, MemRef)
-            opcode = f"{opcode}{mem.width_bytes * 8}"
-        parts = ", ".join(str(operand) for operand in self.operands)
-        if self.result is not None:
-            return f"{self.result} = {opcode} {parts}".rstrip()
-        return f"{opcode} {parts}".rstrip()
-
-    def branch_targets(self) -> list[str]:
-        if self.opcode == "jmp" or self.opcode in CONDITION_CODES:
-            target = self.operands[0]
-            assert isinstance(target, Label)
-            return [target.name]
-        return []
-
-    @property
-    def is_terminator(self) -> bool:
-        return self.opcode in ("jmp", "ret") or self.opcode in CONDITION_CODES
+    OPCODES = OPCODES
+    REGISTER = PReg
+    BRANCHES = CONDITION_CODES
+    JUMP = "jmp"
+    MOVE = "mov"
+    ZEXT = "movzx"
+    SEXT = "movsx"
+    ADDRESS = "lea"

@@ -116,6 +116,20 @@ class TestMergeCampaign:
         assert "poison pill" in by_name["e"].detail
         assert report.quarantined == {"e": "poison pill"}
 
+    def test_quarantine_on_vriscv_keeps_the_campaign_target(self, tmp_path):
+        events = [start("a"), done("a", target="vriscv")]
+        events += [start("b"), done("b", target="vriscv")]
+        events += [start("d"), done("d", target="vriscv")]
+        events += [
+            start("e"),
+            {"event": "quarantine", "fn": "e", "reason": "poison pill"},
+        ]
+        state = journal_state(tmp_path, events)
+        report = merge_campaign({**MANIFEST, "target": "vriscv"}, state)
+        by_name = {o.function: o for o in report.batch.outcomes}
+        assert by_name["e"].target == "vriscv"
+        assert "target: vriscv" in report.summary().splitlines()
+
     def test_partial_campaign_is_incomplete(self, tmp_path):
         state = journal_state(tmp_path, self._events()[:4])  # a, b only
         report = merge_campaign(MANIFEST, state)

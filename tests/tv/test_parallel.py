@@ -271,6 +271,50 @@ class TestWorkerPool:
             assert pool.busy == 0 and pool._slots == []
 
 
+    def test_killed_and_died_slots_keep_the_task_target(self):
+        """Outcomes the pool synthesizes for a dead or hard-killed worker
+        name the target the task was validating, not the default one."""
+        module = generate_module(
+            [
+                ("die_hard", FunctionShape(loops=0, diamonds=0), 1),
+                ("hang_me", FunctionShape(loops=0, diamonds=0), 2),
+            ]
+        )
+        options = TvOptions(
+            keq=KeqOptions(wall_budget_seconds=0.2), target="vriscv"
+        )
+        with WorkerPool(
+            2,
+            str(module),
+            options,
+            {},
+            None,
+            validate=hang_and_die_on_marked,
+            grace_factor=1.0,
+            grace_slack=0.5,
+        ) as pool:
+            pool.submit(Task(0, "die_hard"))
+            pool.submit(Task(1, "hang_me"))
+            events = self._drain(pool, 2)
+        kinds = {event.task.name: event.kind for event in events}
+        assert kinds == {"die_hard": "died", "hang_me": "killed"}
+        assert [event.outcome.target for event in events] == ["vriscv"] * 2
+
+    def test_crashed_validation_keeps_the_task_target(self):
+        module = generate_module(
+            [("crash_me", FunctionShape(loops=0, diamonds=0), 1)]
+        )
+        options = TvOptions(target="vriscv")
+        with WorkerPool(
+            1, str(module), options, {}, None, validate=crash_on_marked
+        ) as pool:
+            pool.submit(Task(0, "crash_me"))
+            (event,) = self._drain(pool, 1)
+        assert event.kind == "done"
+        assert event.outcome.category == Category.OTHER
+        assert event.outcome.target == "vriscv"
+
+
 class TestOrphanHygiene:
     def test_no_children_survive_a_batch_with_hung_and_dying_workers(self):
         module = generate_module(
