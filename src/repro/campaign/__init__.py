@@ -11,16 +11,13 @@ batch into a *campaign*:
   per-function outcomes (atomic line appends, torn tails tolerated), plus
   the campaign manifest, so ``resume`` skips completed work and re-queues
   in-flight functions after a crash;
-- :mod:`repro.campaign.coordinator` — the one job table: shard
-  round-robin scheduling, retry of transient worker deaths with
-  exponential backoff, quarantine of poison-pill functions that kill a
-  worker twice, and leases (:mod:`repro.campaign.leases`), behind a
-  socket-free message protocol;
+- :mod:`repro.campaign.coordinator` — the job table: shard round-robin
+  scheduling, retry of transient worker deaths with exponential backoff,
+  and quarantine of poison-pill functions that kill a worker twice;
 - :mod:`repro.campaign.supervisor` — plans, runs and resumes a campaign:
-  a local campaign is the coordinator with in-process workers, driven by
-  the same unit loop a distributed worker (:mod:`repro.service`) runs
-  over TCP, with per-function wall-clock budgets and the paper's failure
-  taxonomy (``timeout`` / ``oom`` / ``inadequate_sync`` / ``crash``);
+  one loop drives the job table's tasks through one worker pool, with
+  per-function wall-clock budgets and the paper's failure taxonomy
+  (``timeout`` / ``oom`` / ``inadequate_sync`` / ``crash``);
 - :mod:`repro.campaign.merge` — folds shard results into one
   deterministic campaign report (byte-identical regardless of shard
   completion order).

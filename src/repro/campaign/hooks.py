@@ -20,23 +20,6 @@ flags or tests) before the campaign starts:
     Directory for the one-shot marker files (the supervisor sets it to
     the campaign directory so "once" survives a run → resume boundary).
 
-``REPRO_SERVICE_KILL_WORKER_ONCE``
-    Regex.  The first validation of a matching function SIGKILLs the
-    *entire worker client* — the validation subprocess's parent — and
-    then itself, exactly once per marker directory.  This simulates a
-    whole machine dropping out of a distributed campaign mid-lease: no
-    goodbye, no final heartbeat, in-flight leases recovered only by the
-    coordinator's lease-expiry sweep.  Only meaningful under
-    ``repro service worker`` (in a single-host campaign the subprocess's
-    parent is the supervisor itself).
-
-``REPRO_CAMPAIGN_SLEEP_SECONDS``
-    Float.  Arms :func:`sleepy_validate` (a *separate* hook, not a branch
-    of the injector): every function "validates" by sleeping that long
-    and succeeding.  Benchmarks use it to measure pure orchestration
-    scaling — sleep-bound work parallelises even on one core, where the
-    real CPU-bound pipeline cannot.
-
 Everything else falls through to the real validation pipeline.
 """
 
@@ -46,15 +29,12 @@ import hashlib
 import os
 import re
 import signal
-import time
 
-from repro.tv.driver import Category, TvOutcome, validate_function
+from repro.tv.driver import validate_function
 
 KILL_ONCE_ENV = "REPRO_CAMPAIGN_KILL_ONCE"
 KILL_ALWAYS_ENV = "REPRO_CAMPAIGN_KILL_ALWAYS"
 KILL_DIR_ENV = "REPRO_CAMPAIGN_KILL_DIR"
-KILL_WORKER_ENV = "REPRO_SERVICE_KILL_WORKER_ONCE"
-SLEEP_ENV = "REPRO_CAMPAIGN_SLEEP_SECONDS"
 
 
 def _die() -> None:
@@ -83,25 +63,8 @@ def _claim_once(name: str) -> bool:
     return True
 
 
-def _die_with_parent() -> None:
-    """SIGKILL the parent process (the service worker client), then self.
-
-    The validation subprocess outlives its parent for an instant; killing
-    itself too keeps the simulated machine-loss clean (nothing left to
-    write into the shared cache after "the host went down").
-    """
-    try:
-        os.kill(os.getppid(), signal.SIGKILL)
-    except OSError:
-        pass
-    _die()
-
-
 def sigkill_injector(module, name, options, cache):
     """Validate hook that SIGKILLs the worker on configured functions."""
-    whole = os.environ.get(KILL_WORKER_ENV)
-    if whole and re.search(whole, name) and _claim_once("worker:" + name):
-        _die_with_parent()
     always = os.environ.get(KILL_ALWAYS_ENV)
     if always and re.search(always, name):
         _die()
@@ -109,16 +72,3 @@ def sigkill_injector(module, name, options, cache):
     if once and re.search(once, name) and _claim_once(name):
         _die()
     return validate_function(module, name, options, cache)
-
-
-def sleepy_validate(module, name, options, cache):
-    """Benchmark hook: fixed-delay synthetic validation.
-
-    Sleeping stands in for solver work so service-scaling benchmarks
-    measure the orchestration layer (leases, protocol, journal) rather
-    than CPU contention — on a one-core box the real pipeline cannot
-    speed up with more workers, but sleep-bound work can.
-    """
-    delay = float(os.environ.get(SLEEP_ENV, "0.05"))
-    time.sleep(delay)
-    return TvOutcome(name, Category.SUCCEEDED, seconds=delay)

@@ -16,27 +16,20 @@ Two files live in a campaign directory:
 
     - ``start``      — a worker was handed the function (attempt n);
     - ``done``       — a terminal outcome was recorded;
-    - ``requeue``    — the worker died mid-function; the function goes
-      back on its shard queue after a backoff delay;
+    - ``requeue``    — the worker died mid-function, or a resume found
+      the function left in flight; it goes back on its shard queue
+      (after a backoff delay for a death);
     - ``quarantine`` — the function killed a worker ``max_kills`` times
       (poison pill) and is excluded from further scheduling;
-    - ``duplicate``  — a result arrived for a function that already has a
-      ``done`` entry (e.g. a lease expired, the unit was re-run elsewhere,
-      and the presumed-dead worker's answer surfaced after all); the
-      original outcome stands (*first write wins*) and the duplicate is
-      only tallied;
     - ``halt``       — the supervisor stopped deliberately
       (``halt_on_worker_death``), leaving in-flight work to ``resume``.
 
-    Every campaign, local or distributed, runs through one job table
-    (:class:`repro.campaign.coordinator.Coordinator`), so an event about
-    a unit a worker held carries a ``worker`` tag naming it (``local`` for
-    a single-host run), usually with its ``host``, and a ``start`` event
-    also the ``lease`` it was granted under.  The loader ignores these
-    tags for state reconstruction — they exist for forensics and the
-    per-worker accounting in the service ``status`` — so single-host and
-    multi-host journals merge through the same code path.  The recovery
-    events a resume journals, and ``halt`` events, are untagged.
+    Directories written while campaigns could also be served over TCP
+    may hold ``duplicate`` events (a late result for a function that
+    already had a ``done``; the first outcome stood) and ``worker``,
+    ``host`` and ``lease`` tags on events.  The loader still counts
+    ``duplicate`` events and ignores the tags, so those directories
+    resume and merge like any other.
 
 A function's *kill count* tallies only **observed worker deaths**: a
 ``requeue`` carrying ``death: true`` (the supervisor watched the worker
@@ -267,7 +260,7 @@ class JournalState:
 
     @property
     def retries(self) -> int:
-        """Total re-queue events (lease expiries + worker-death retries)."""
+        """Total re-queue events (worker-death retries and resume recovery)."""
         return sum(l.requeues for l in self.ledgers.values())
 
     @property

@@ -191,7 +191,7 @@ class CampaignStatus:
     halts: int
     failure_counts: Counter
     shards: list[ShardSummary]
-    #: total re-queue events (lease expiries + worker-death retries).
+    #: total re-queue events (worker-death retries and resume recovery).
     retries: int = 0
     #: observed worker deaths charged across all functions.
     worker_deaths: int = 0

@@ -1,8 +1,8 @@
 """Deterministic corpus sharding (the campaign's partitioning layer).
 
-A shard is the unit of checkpointing, reporting, and (in a multi-host
-deployment) placement.  Two strategies are provided, both deterministic
-functions of the input list alone:
+A shard is the unit of checkpointing, reporting and round-robin
+dispatch.  Two strategies are provided, both deterministic functions of
+the input list alone:
 
 - ``round_robin`` — group *i* lands on shard ``i % n``; trivially stable
   and good enough when functions are cost-homogeneous;

@@ -6,12 +6,11 @@ were in flight, and ``resume_campaign`` re-queues exactly those and drives
 the rest to completion.  ``campaign_status`` inspects a directory without
 running anything.
 
-A local campaign is the coordinator with in-process workers: the job
-table (:class:`repro.campaign.coordinator.Coordinator` — shard
-round-robin, retry backoff, quarantine) is called directly, and
-:class:`UnitLoop` runs its units in a :class:`repro.tv.parallel.WorkerPool`.
-A distributed service worker (:mod:`repro.service`) runs the same loop
-over TCP.
+The run itself is one loop (:func:`_run_local`): it takes tasks from the
+job table (:class:`repro.campaign.coordinator.Coordinator` — shard
+round-robin, retry backoff, quarantine), runs them in one
+:class:`repro.tv.parallel.WorkerPool`, and hands every result or death
+back to the table, which journals it.
 
 Failure handling policy (the paper's Section 5 taxonomy, operationalised):
 
@@ -23,7 +22,7 @@ Failure handling policy (the paper's Section 5 taxonomy, operationalised):
   backoff.  A function whose worker dies ``max_kills`` times is a poison
   pill and is quarantined (journalled, excluded from scheduling, reported
   under the ``crash`` class) instead of wedging the campaign;
-- with ``halt_on_worker_death`` a local campaign instead stops at the
+- with ``halt_on_worker_death`` the campaign instead stops at the
   first death — the mode CI uses to simulate a mid-campaign crash and
   assert that ``resume`` recovers cleanly.
 
@@ -34,10 +33,8 @@ persistent ``cache_dir`` is the layer shards share.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import os
-import socket
 from dataclasses import dataclass, field
 
 from repro.campaign.coordinator import Coordinator
@@ -47,7 +44,6 @@ from repro.campaign.journal import (
     load_manifest,
     load_state,
     manifest_path,
-    outcome_to_json,
     write_manifest,
 )
 from repro.campaign.merge import (
@@ -63,6 +59,10 @@ from repro.tv.dedup import plan_dedup
 from repro.tv.driver import TvOptions
 from repro.tv.parallel import Task, WorkerPool
 from repro.workloads import EXTERNAL_CALLEES, gcc_like_corpus
+
+
+#: how long the run loop waits for an event when no task is ready.
+_IDLE_WAIT_SECONDS = 0.25
 
 
 class CampaignError(RuntimeError):
@@ -129,22 +129,28 @@ def _resolve_validate(reference: str | None):
     if not reference:
         return None
     module_name, _, qualname = reference.partition(":")
-    target = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        target = getattr(target, part)
+    try:
+        target = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            target = getattr(target, part)
+    except (ImportError, AttributeError, ValueError) as error:
+        raise CampaignError(
+            f"the manifest's validate hook {reference!r} does not resolve"
+            f" ({error}); this code base can no longer run that campaign"
+        ) from error
     return target
 
 
 @dataclass
 class PreparedCampaign:
-    """Everything a :class:`~repro.campaign.coordinator.Coordinator` needs
-    to run a campaign, locally or served over TCP: the published manifest,
-    the module as spawn-safe text, per-function option overrides, the
+    """Everything a campaign run needs: the published manifest, the module
+    as spawn-safe text, the base options and per-function overrides, the
     pending tasks, and the journal-derived kill counts and orphans."""
 
     directory: str
     manifest: dict
     module_text: str
+    options: TvOptions
     overrides: dict[str, TvOptions]
     tasks: list[Task]
     kills: dict[str, int]
@@ -245,6 +251,7 @@ def prepare_campaign(
         directory=directory,
         manifest=manifest,
         module_text=str(module),
+        options=base,
         overrides=overrides,
         tasks=tasks,
         kills={},
@@ -314,6 +321,7 @@ def prepare_resume(
         directory=directory,
         manifest=manifest,
         module_text=str(module),
+        options=base,
         overrides=overrides,
         tasks=tasks,
         kills=kills,
@@ -370,202 +378,50 @@ def campaign_status(directory: str) -> CampaignStatus:
 
 
 def _run_local(prepared: PreparedCampaign, journal: Journal) -> None:
-    """Drain a campaign through its coordinator in process: no sockets,
-    no lease sweep (deaths are observed directly), the manifest's
-    ``jobs`` as pool size.  With ``halt_on_worker_death`` the first death
-    is journaled as ``halt`` instead of being reported to the
-    coordinator, and :class:`CampaignInterrupted` is raised."""
-    coordinator = Coordinator(prepared, journal)
-    host = socket.gethostname()
-    halt = prepared.manifest["halt_on_worker_death"]
-
-    def request(message: dict) -> dict:
-        if halt and message["type"] == "worker_death":
-            # The halt names the function so load_state charges the death
-            # to it (the poison-pill counter survives the restart).
-            journal.append(
-                {
-                    "event": "halt",
-                    "fn": message["unit"],
-                    "shard": message["shard"],
-                    "attempt": message["attempt"],
-                    "reason": message["detail"],
-                }
-            )
-            raise CampaignInterrupted(
-                f"halted on worker death while validating"
-                f" {message['unit']!r} ({message['detail']}); resume to"
-                " continue"
-            )
-        return coordinator.handle(message, host)
-
-    units = UnitLoop(
-        request,
-        "local",
-        host,
-        prepared.manifest["jobs"],
-        validate=prepared.validate,
-    )
-    units.hello()
-    units.run()
-
-
-@dataclass
-class WorkerSummary:
-    """What one unit loop did (returned by :meth:`UnitLoop.run`)."""
-
-    worker_id: str
-    leased: int = 0
-    completed: int = 0
-    timeouts: int = 0
-    deaths_reported: int = 0
-    duplicates: int = 0
-    #: True when the run ended on coordinator drain or graceful SIGTERM;
-    #: False when the coordinator connection was lost.
-    drained_clean: bool = False
-
-
-class UnitLoop:
-    """hello → lease → validate in a pool slot → result, worker_death or
-    timeout: the one worker side of the coordinator protocol.
-
-    ``request`` sends one message and returns the coordinator's reply, or
-    None once the coordinator is lost.  A local campaign passes
-    :meth:`Coordinator.handle`; :class:`repro.service.ServiceWorker`
-    passes its TCP channel and adds heartbeat, reconnect and drain around
-    the loop (``draining`` stops leasing, ``lost`` stops at once).
-    ``validate`` and ``cache_dir`` override what the welcome advertises
-    (``cache_dir=""`` disables the persistent cache).
-    """
-
-    def __init__(
-        self,
-        request,
-        worker_id: str,
-        host: str,
-        jobs: int,
-        validate=None,
-        cache_dir: str | None = None,
-        draining=lambda: False,
-        lost=lambda: False,
-    ):
-        self.request = request
-        self.worker_id = worker_id
-        self.host = host
-        self.jobs = jobs
-        self.validate = validate
-        self.cache_dir = cache_dir
-        self.draining = draining
-        self.lost = lost
-        self.summary = WorkerSummary(worker_id=worker_id)
-        self._pool: WorkerPool | None = None
-
-    def hello(self) -> dict | None:
-        """Register and build the pool from the welcome (None if lost)."""
-        welcome = self.request(
-            {
-                "type": "hello",
-                "worker_id": self.worker_id,
-                "host": self.host,
-                "slots": self.jobs,
-            }
-        )
-        if welcome is None:
-            return None
-        base = _base_options(
-            welcome.get("wall_budget"),
-            welcome.get("incremental", True),
-            welcome.get("target", DEFAULT_TARGET),
-        )
-        overrides = {
-            name: dataclasses.replace(base, imprecise_liveness=True)
-            for name in welcome.get("imprecise", [])
-        }
-        validate = self.validate or _resolve_validate(welcome.get("validate"))
-        cache_dir = welcome.get("cache_dir")
-        if self.cache_dir is not None:
-            cache_dir = self.cache_dir or None
-        self._pool = WorkerPool(
-            self.jobs,
-            welcome["module_text"],
-            base,
-            overrides,
-            cache_dir,
-            validate,
-        )
-        return welcome
-
-    def run(self) -> WorkerSummary:
-        """Lease and validate until the coordinator drains (or ``draining``
-        holds) with nothing in flight, or the coordinator is lost."""
-        pool, summary = self._pool, self.summary
-        drained = False
-        next_index = 0
-        try:
-            while not self.lost():
-                wait = None
-                while not (drained or self.draining()) and pool.idle:
-                    reply = self.request(
-                        {"type": "lease", "worker_id": self.worker_id}
-                    )
-                    if reply is None:
-                        return summary
-                    if reply["type"] == "drain":
-                        drained = True
-                        break
-                    if reply["type"] == "wait":
-                        wait = reply["seconds"]
-                        break
-                    summary.leased += 1
-                    pool.submit(
-                        Task(
-                            next_index,
-                            reply["unit"],
-                            reply["shard"],
-                            reply["attempt"],
-                            reply["lease_id"],
-                        )
-                    )
-                    next_index += 1
-                if (drained or self.draining()) and not pool.busy:
-                    summary.drained_clean = True
+    """Drain a campaign's job table through one worker pool of the
+    manifest's ``jobs`` slots.  With ``halt_on_worker_death`` the first
+    death is journaled as ``halt`` instead of being charged to the table,
+    and :class:`CampaignInterrupted` is raised."""
+    table = Coordinator(prepared, journal)
+    manifest = prepared.manifest
+    with WorkerPool(
+        manifest["jobs"],
+        prepared.module_text,
+        prepared.options,
+        prepared.overrides,
+        manifest["cache_dir"],
+        prepared.validate,
+    ) as pool:
+        while not table.finished:
+            wait = None
+            while pool.idle:
+                task = table.next_task()
+                if task is None:
+                    # Everything left is in flight or backing off.
+                    wait = _IDLE_WAIT_SECONDS
                     break
-                for event in pool.wait(wait):
-                    self._report(event)
-        finally:
-            pool.close()
-        return summary
-
-    def _report(self, event) -> None:
-        task, summary = event.task, self.summary
-        if event.kind == "died":
-            summary.deaths_reported += 1
-            self.request(
-                {
-                    "type": "worker_death",
-                    "worker_id": self.worker_id,
-                    "unit": task.name,
-                    "lease_id": task.lease_id,
-                    "attempt": task.attempt,
-                    "shard": task.shard,
-                    "detail": event.outcome.detail,
-                }
-            )
-            return
-        if event.kind == "killed":
-            summary.timeouts += 1
-        reply = self.request(
-            {
-                "type": "result",
-                "worker_id": self.worker_id,
-                "unit": task.name,
-                "lease_id": task.lease_id,
-                "attempt": task.attempt,
-                "shard": task.shard,
-                "outcome": outcome_to_json(event.outcome),
-            }
-        )
-        if reply is not None:
-            summary.completed += 1
-            if reply.get("duplicate"):
-                summary.duplicates += 1
+                pool.submit(task)
+            for event in pool.wait(wait):
+                task = event.task
+                if event.kind != "died":
+                    table.record_result(task, event.outcome)
+                elif manifest["halt_on_worker_death"]:
+                    # The halt names the function so load_state charges
+                    # the death to it (the poison-pill counter survives
+                    # the restart).
+                    journal.append(
+                        {
+                            "event": "halt",
+                            "fn": task.name,
+                            "shard": task.shard,
+                            "attempt": task.attempt,
+                            "reason": event.outcome.detail,
+                        }
+                    )
+                    raise CampaignInterrupted(
+                        f"halted on worker death while validating"
+                        f" {task.name!r} ({event.outcome.detail}); resume"
+                        " to continue"
+                    )
+                else:
+                    table.record_death(task, event.outcome.detail)

@@ -7,9 +7,6 @@ Usage::
     python -m repro campaign run [--scale N] [--seed N] [--dir DIR]
     python -m repro campaign resume DIR
     python -m repro campaign status DIR
-    python -m repro service coordinate --dir DIR [--port N] [options]
-    python -m repro service worker --connect HOST:PORT [--jobs N]
-    python -m repro service status HOST:PORT
     python -m repro fuzz [--seed N] [--iterations N]
 
 ``single`` validates one function end to end; ``show`` prints the ISel
@@ -17,9 +14,7 @@ output and the generated synchronization points; ``campaign run`` reruns
 the Figure 6/7 evaluation on the synthetic corpus (with ``--dir`` it
 becomes a durable, sharded, resumable campaign — see
 :mod:`repro.campaign`); ``campaign resume`` continues a crashed or halted
-campaign and ``campaign status`` inspects one; ``service`` runs the same
-campaign distributed — a coordinator serving work units over TCP to any
-number of worker clients (see :mod:`repro.service`); ``fuzz`` runs the
+campaign and ``campaign status`` inspects one; ``fuzz`` runs the
 differential testing campaign against the SMT stack.
 """
 
@@ -175,6 +170,7 @@ def cmd_campaign_run(args) -> int:
             options,
             jobs=jobs,
             cache_dir=args.cache_dir,
+            dedup=not args.no_dedup,
         )
         print(result.summary())
         return 0
@@ -236,104 +232,6 @@ def cmd_campaign_status(args) -> int:
     except CampaignError as error:
         raise SystemExit(str(error)) from error
     print(status.render())
-    return 0
-
-
-def cmd_service_coordinate(args) -> int:
-    from repro.campaign import CampaignConfig, CampaignError
-    from repro.service import ServiceConfig, serve_campaign
-
-    config = CampaignConfig(
-        scale=args.scale,
-        seed=args.seed,
-        wall_budget=args.wall_budget,
-        shards=args.shards,
-        jobs=args.jobs if args.jobs is not None else 1,
-        cache_dir=args.cache_dir,
-        dedup=not args.no_dedup,
-        strategy=args.strategy,
-        target=args.target,
-    )
-    service = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        lease_seconds=args.lease_seconds,
-        heartbeat_seconds=args.heartbeat_seconds,
-    )
-
-    def on_bound(address) -> None:
-        # Machine-greppable: scripts parse this line to learn an
-        # OS-assigned port (--port 0).
-        print(f"coordinator listening on {address[0]}:{address[1]}", flush=True)
-
-    print(f"service campaign: {args.dir} (shards={args.shards})", flush=True)
-    try:
-        report = serve_campaign(args.dir, config, service, on_bound=on_bound)
-    except CampaignError as error:
-        raise SystemExit(str(error)) from error
-    except KeyboardInterrupt:
-        print(
-            "coordinator interrupted; the journal is consistent —"
-            " rerun `repro service coordinate` or `repro campaign resume`"
-            " on the same directory to finish",
-            flush=True,
-        )
-        return EXIT_CAMPAIGN_INTERRUPTED
-    print(report.summary())
-    return 0
-
-
-def cmd_service_worker(args) -> int:
-    import os
-    import signal
-
-    from repro.service import ServiceWorker, WorkerConfig
-
-    validate = None
-    if args.inject_kill_worker_once:
-        from repro.campaign import hooks
-
-        if not args.kill_marker_dir:
-            raise SystemExit(
-                "--inject-kill-worker-once requires --kill-marker-dir"
-            )
-        os.environ[hooks.KILL_WORKER_ENV] = args.inject_kill_worker_once
-        os.environ[hooks.KILL_DIR_ENV] = args.kill_marker_dir
-        validate = hooks.sigkill_injector
-    worker = ServiceWorker(
-        WorkerConfig(
-            connect=args.connect,
-            worker_id=args.worker_id,
-            jobs=args.jobs,
-            validate=validate,
-            cache_dir=args.cache_dir,
-            recv_timeout=args.recv_timeout or None,
-            recv_retries=args.recv_retries,
-        )
-    )
-    signal.signal(signal.SIGTERM, lambda signum, frame: worker.request_drain())
-    try:
-        summary = worker.run()
-    except ConnectionError as error:
-        raise SystemExit(str(error)) from error
-    print(
-        f"worker {summary.worker_id}: leased={summary.leased}"
-        f" completed={summary.completed} timeouts={summary.timeouts}"
-        f" deaths-reported={summary.deaths_reported}"
-        f" duplicates={summary.duplicates}"
-        f" drained-clean={summary.drained_clean}"
-    )
-    return 0 if summary.drained_clean else 1
-
-
-def cmd_service_status(args) -> int:
-    from repro.service import query_status
-
-    try:
-        reply = query_status(args.address)
-    except (ConnectionError, OSError) as error:
-        raise SystemExit(f"coordinator unreachable: {error}") from error
-    print(reply.get("render", ""))
     return 0
 
 
@@ -497,107 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     status.add_argument("dir")
     status.set_defaults(run=cmd_campaign_status)
-
-    service = sub.add_parser(
-        "service", help="distributed campaign: coordinator + worker clients"
-    )
-    service_sub = service.add_subparsers(dest="service_command", required=True)
-
-    coordinate = service_sub.add_parser(
-        "coordinate",
-        help="serve a campaign's work units over TCP (auto-resumes a"
-        " directory that already holds a manifest)",
-    )
-    coordinate.add_argument("--dir", required=True, help="campaign directory")
-    _add_target(coordinate)
-    coordinate.add_argument("--scale", type=int, default=120)
-    coordinate.add_argument("--seed", type=int, default=2021)
-    coordinate.add_argument("--wall-budget", type=float, default=30.0)
-    coordinate.add_argument("--shards", type=int, default=2)
-    coordinate.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="recorded in the manifest for single-host resume (default: 1)",
-    )
-    coordinate.add_argument("--cache-dir", default=None)
-    coordinate.add_argument(
-        "--strategy",
-        choices=["round_robin", "size_balanced"],
-        default="size_balanced",
-    )
-    coordinate.add_argument("--no-dedup", action="store_true")
-    coordinate.add_argument("--host", default="127.0.0.1")
-    coordinate.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="listen port (0 = OS-assigned; printed on startup)",
-    )
-    coordinate.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=60.0,
-        help="work-unit lease duration; a worker silent this long has its"
-        " units re-queued (must exceed the hard validation budget)",
-    )
-    coordinate.add_argument("--heartbeat-seconds", type=float, default=5.0)
-    coordinate.set_defaults(run=cmd_service_coordinate)
-
-    worker = service_sub.add_parser(
-        "worker", help="lease and validate work units from a coordinator"
-    )
-    worker.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address",
-    )
-    worker.add_argument(
-        "--jobs", type=int, default=1,
-        help="local validation subprocesses (default: 1)",
-    )
-    worker.add_argument(
-        "--worker-id", default=None,
-        help="stable identity for journal tags (default: hostname-pid)",
-    )
-    worker.add_argument(
-        "--cache-dir", default=None,
-        help="override the coordinator-advertised query cache directory"
-        " (for hosts without the shared filesystem; '' disables)",
-    )
-    worker.add_argument(
-        "--recv-timeout",
-        type=float,
-        default=60.0,
-        help="seconds to wait for any coordinator reply before treating"
-        " the connection as silently dead (default: 60; 0 = wait forever)",
-    )
-    worker.add_argument(
-        "--recv-retries",
-        type=int,
-        default=2,
-        help="reconnect-and-resend attempts after a silent timeout before"
-        " reporting the coordinator lost and exiting nonzero (default: 2)",
-    )
-    worker.add_argument(
-        "--inject-kill-worker-once",
-        metavar="REGEX",
-        default=None,
-        help="fault injection: SIGKILL this whole worker client the first"
-        " time it validates a matching function (simulates losing a"
-        " machine mid-lease; requires --kill-marker-dir)",
-    )
-    worker.add_argument(
-        "--kill-marker-dir",
-        default=None,
-        help="directory for the one-shot kill marker files",
-    )
-    worker.set_defaults(run=cmd_service_worker)
-
-    service_status = service_sub.add_parser(
-        "status", help="query a live coordinator for campaign progress"
-    )
-    service_status.add_argument("address", metavar="HOST:PORT")
-    service_status.set_defaults(run=cmd_service_status)
 
     fuzz = sub.add_parser(
         "fuzz", help="differential-fuzz the SMT stack (generator + oracles)"

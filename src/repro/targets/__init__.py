@@ -6,7 +6,7 @@ translation-validation *pipeline* around it needs to know, per target,
 how to run instruction selection, how to build the machine semantics,
 and which registers carry arguments and return values (for sync-point
 generation).  This module is the single place that knowledge lives:
-everything above it (driver, batch, campaign, service, CLI) carries an
+everything above it (driver, batch, campaign, CLI) carries an
 opaque target *name* and resolves it here.
 
 Adding a target means adding one :func:`get_target` branch; nothing in

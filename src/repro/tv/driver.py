@@ -58,7 +58,7 @@ class TvOptions:
     #: cap on the sync-point specification size (see Category.OOM).
     parser_memory_budget: int | None = 4000
     #: target ISA name (see :mod:`repro.targets`); rides inside the
-    #: options object so batch/parallel/campaign/service workers all
+    #: options object so batch/parallel/campaign workers all
     #: validate against the same machine language without any extra
     #: plumbing, and enters dedup fingerprints via ``repr(options)``.
     target: str = DEFAULT_TARGET

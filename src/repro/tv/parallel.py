@@ -25,9 +25,8 @@ the GIL).  The design constraints:
   keeps draining.
 
 :class:`WorkerPool` is the one slot pool of the code base: it drives
-:func:`run_batch_parallel` here and the campaign unit loop
-(:class:`repro.campaign.supervisor.UnitLoop`), which runs both local
-campaigns and distributed service workers.
+:func:`run_batch_parallel` here and durable campaigns
+(:mod:`repro.campaign.supervisor`).
 
 Each worker keeps one :class:`repro.smt.cache.QueryCache` for its
 lifetime; with ``cache_dir`` set, decided queries are shared across
@@ -117,14 +116,13 @@ def _worker_main(conn, module_text, options, overrides, cache_dir, validate):
 @dataclass
 class Task:
     """One unit of work for a pool slot (``Worker.assign`` reads ``index``
-    and ``name``); the campaign job table adds its shard, attempt, lease
-    and backoff."""
+    and ``name``); the campaign job table adds its shard, attempt and
+    retry backoff."""
 
     index: int
     name: str
     shard: int = 0
     attempt: int = 1
-    lease_id: str = ""
     not_before: float = 0.0
 
 

@@ -1,11 +1,15 @@
-"""Campaign directories written before the solver portfolio and the
-point/campaign session scopes were removed must still resume.
+"""Campaign directories written by older versions of the code base.
 
-Such directories carry ``session_scope``/``portfolio*`` keys in the
-manifest and the removed upkeep/portfolio counters in every journaled
-``solver_stats``.  Those keys are ignored: the resumed campaign runs with
-function-scoped sessions and renders the same report as an uninterrupted
-run.
+Directories written before the solver portfolio and the point/campaign
+session scopes were removed carry ``session_scope``/``portfolio*`` keys
+in the manifest and the removed upkeep/portfolio counters in every
+journaled ``solver_stats``.  Those keys are ignored: the resumed campaign
+runs with function-scoped sessions and renders the same report as an
+uninterrupted run.
+
+A manifest may also name a ``validate`` hook that no longer exists (the
+sleep-injected hook of the removed TCP service benchmark).  Resuming it
+is refused with one :class:`CampaignError` naming the reference.
 """
 
 import json
@@ -14,6 +18,7 @@ import pytest
 
 from repro.campaign import (
     CampaignConfig,
+    CampaignError,
     CampaignInterrupted,
     campaign_status,
     load_manifest,
@@ -22,6 +27,8 @@ from repro.campaign import (
 )
 from repro.campaign.hooks import KILL_DIR_ENV, KILL_ONCE_ENV, sigkill_injector
 from repro.campaign.journal import journal_path, write_manifest
+from repro.campaign.supervisor import prepare_campaign
+from repro.cli import main
 
 #: late in the dispatch order, so the halted run has journaled outcomes
 VICTIM = "fn_succeeded_0004"
@@ -111,3 +118,26 @@ class TestLegacyCampaignDirectory:
         ]
         assert len(session_lines) == 1
         assert session_lines[0].split()[1].startswith("checks=")
+
+
+class TestUnresolvableValidateHook:
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            "repro.campaign.hooks:sleepy_validate",
+            "repro.service.worker:validate",
+        ],
+    )
+    def test_resume_names_the_reference(self, tmp_path, reference, capsys):
+        directory = str(tmp_path / "camp")
+        prepare_campaign(directory, config(scale=4))
+        write_manifest(
+            directory, {**load_manifest(directory), "validate": reference}
+        )
+        with pytest.raises(CampaignError, match=reference):
+            resume_campaign(directory)
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "resume", directory])
+        message = str(exc.value.code)
+        assert reference in message
+        assert "\n" not in message

@@ -1,10 +1,12 @@
 """Multi-host journals: tags, idempotent acceptance, deterministic merge.
 
-These tests construct journals directly (no network, no subprocesses) to
-pin the invariants the distributed service relies on: host/worker tags
-are inert to the loader, the first ``done`` per function wins, duplicate
-results are tallied but never double-counted, and the merged report is
-byte-identical no matter which hosts completed which units in what order.
+These tests construct journals directly (no network, no subprocesses).
+Directories written while campaigns could also be served over TCP carry
+host/worker/lease tags and ``duplicate`` events, and local resume relies
+on the same invariants: the tags are inert to the loader, the first
+``done`` per function wins, duplicate results are tallied but never
+double-counted, and the merged report is byte-identical no matter which
+hosts completed which units in what order.
 """
 
 from repro.campaign.journal import (

@@ -131,6 +131,23 @@ class TestCampaign:
         with pytest.raises(SystemExit):
             main(argv)
 
+    def test_no_dedup_reaches_run_corpus(self, monkeypatch, capsys):
+        calls = []
+
+        class Result:
+            def summary(self):
+                return "stub"
+
+        def fake_run_corpus(corpus, options, **kwargs):
+            calls.append(kwargs)
+            return Result()
+
+        monkeypatch.setattr("repro.cli.run_corpus", fake_run_corpus)
+        argv = ["campaign", "run", "--scale", "6", "--seed", "11"]
+        assert main(argv + ["--no-dedup"]) == 0
+        assert main(argv) == 0
+        assert [call["dedup"] for call in calls] == [False, True]
+
     def test_campaign_resume_without_manifest_fails(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["campaign", "resume", str(tmp_path / "nope")])
@@ -144,7 +161,6 @@ class TestPortfolioFlag:
             ["single", "x.ll", "--session-scope", "campaign"],
             ["campaign", "run", "--scale", "6", "--portfolio", "2"],
             ["campaign", "run", "--scale", "6", "--session-scope", "campaign"],
-            ["service", "coordinate", "--dir", "camp", "--portfolio", "2"],
         ],
     )
     def test_removed_solver_flags_are_usage_errors(self, argv, capsys):
@@ -155,18 +171,11 @@ class TestPortfolioFlag:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_worker_recv_flags_parse(self):
-        # Parse-only: the worker would dial out, so just build the parser
-        # path far enough to see the attributes land.
-        import argparse
 
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            [
-                "service", "worker", "--connect", "127.0.0.1:1",
-                "--recv-timeout", "2.5", "--recv-retries", "5",
-            ]
-        )
-        assert args.recv_timeout == 2.5
-        assert args.recv_retries == 5
+class TestServiceRemoved:
+    def test_service_subcommand_is_a_usage_error(self, capsys):
+        # The TCP service is gone; a local campaign runs the same job table.
+        with pytest.raises(SystemExit) as exc:
+            main(["service", "coordinate", "--dir", "camp", "--port", "0"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'service'" in capsys.readouterr().err
