@@ -7,7 +7,7 @@ interpreters in the language semantics.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro.smt import terms as t
 from repro.smt.terms import BOOL, Term
@@ -44,18 +44,19 @@ def evaluate(
             stack.append((node, True))
             stack.extend((arg, False) for arg in node.args if arg not in cache)
             continue
-        cache[node] = _eval_node(node, cache, env, select_handler)
+        args = [cache[arg] for arg in node.args]
+        cache[node] = eval_node(node, args, env, select_handler)
     return cache[term]
 
 
-def _eval_node(
+def eval_node(
     node: Term,
-    cache: Mapping[Term, int | bool],
+    args: Sequence[int | bool],
     env: Mapping[str, int | bool],
     select_handler: SelectHandler,
 ) -> int | bool:
+    """Value of one node, given the values of its arguments (in order)."""
     op = node.op
-    args = [cache[arg] for arg in node.args]
     if op in ("bvconst", "boolconst"):
         return node.value
     if op in ("bvvar", "boolvar"):

@@ -7,7 +7,8 @@ This is the decision procedure at the bottom of the reproduction's SMT stack
 - first-UIP conflict analysis with clause learning and non-chronological
   backjumping;
 - VSIDS-style branching activity with exponential decay (implemented via a
-  lazily-cleaned binary heap);
+  lazily-cleaned binary heap, rebuilt whenever stale entries make it
+  outgrow twice the variable count);
 - Luby-sequence restarts;
 - solving under assumptions (used by the solver façade to implement
   ``prove`` queries without re-encoding shared structure);
@@ -284,6 +285,29 @@ class SatSolver:
                 self._activity[index] *= 1e-100
             self._var_inc *= 1e-100
         heapq.heappush(self._heap, (-self._activity[var], var))
+        if len(self._heap) > 2 * self._num_vars:
+            self._compact_heap()
+
+    def _compact_heap(self) -> None:
+        """Rebuild the branching heap: one fresh entry per unassigned variable.
+
+        Bumps and backtracks push a new entry instead of updating the old
+        one, and stale entries only leave when :meth:`_pick_branch` pops
+        them, so a session whose checks mostly end UNSAT would grow the
+        heap without bound.  Every unassigned variable already has an entry
+        holding its current activity and :meth:`_pick_branch` returns the
+        unassigned variable of highest activity (ties to the lower index)
+        either way, so the rebuild never changes a decision.  Assigned
+        variables get their entry back when backtracking unassigns them.
+        """
+        activity = self._activity
+        assign = self._assign
+        self._heap = [
+            (-activity[var], var)
+            for var in range(1, self._num_vars + 1)
+            if assign[var] == UNASSIGNED
+        ]
+        heapq.heapify(self._heap)
 
     def _analyze(self, conflict: _Clause) -> tuple[list[int], int]:
         """First-UIP analysis: learned clause + backjump level."""
@@ -412,6 +436,8 @@ class SatSolver:
         del self._trail[boundary:]
         del self._trail_lim[level:]
         self._prop_head = len(self._trail)
+        if len(self._heap) > 2 * self._num_vars:
+            self._compact_heap()
 
     # -- branching ------------------------------------------------------------------
 

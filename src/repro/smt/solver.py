@@ -1,10 +1,26 @@
 """Solver façade used by KEQ (plays the role Z3 plays in the paper).
 
-Queries are first run through the rewriting simplifier; formulas that
-normalize to a constant are answered without touching the SAT solver (the
-common case for the equality-constraint checks KEQ emits, because
-synchronization-point constraints are applied by substitution).  Everything
-else is bit-blasted and decided by the CDCL solver.
+Queries are first run through the rewriting simplifier, then through a
+fixed sequence of tiers; the first tier that decides the simplified goal
+answers it (:meth:`Solver._try_fast_paths` holds tiers 1-6, shared by
+:meth:`Solver.check_sat` and :meth:`SolverSession.check`):
+
+1. **trivial** — the goal simplified to a constant (the common case for
+   the equality-constraint checks KEQ emits, because synchronization-point
+   constraints are applied by substitution);
+2. **memo** — this solver decided the same interned goal before;
+3. **cache** — the shared :class:`~repro.smt.cache.QueryCache` holds it;
+4. **random witness** — one of a few fixed pseudo-random assignments
+   satisfies it (:func:`_random_witness`);
+5. **skeleton** — its boolean skeleton plus comparison trichotomy is
+   propositionally UNSAT (:func:`_skeleton_unsat`);
+6. **search** — a greedy local search over candidate values finds a
+   satisfying assignment (:func:`_search_witness`);
+7. **SAT** — everything else is bit-blasted and decided by the CDCL solver.
+
+Tiers 4 and 6 only ever answer SAT, and only with an assignment under
+which concrete evaluation makes the goal true; that assignment is served
+as the model when one is requested.
 
 The façade also implements the paper's *positive-form optimization*
 (Section 3): for deterministic transition systems, proving ``φ1 ⇒ φ2`` via
@@ -23,6 +39,7 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:  # cache.py imports Result from here; avoid the cycle.
     from repro.smt.cache import QueryCache
 
+from repro.smt import eval as concrete
 from repro.smt import terms as t
 from repro.smt.bitblast import BitBlaster
 from repro.smt.sat import SatResult, SatSolver
@@ -49,7 +66,7 @@ class QueryStats:
     """Aggregate statistics across all queries issued through one Solver."""
 
     queries: int = 0
-    fast_path: int = 0  # answered by simplification alone
+    fast_path: int = 0  # answered before bit-blasting (tiers 1-6 above)
     sat_calls: int = 0
     conflicts: int = 0
     decisions: int = 0
@@ -69,6 +86,8 @@ class QueryStats:
     #: because a model was requested (``need_model=True``).  Not misses: the
     #: cache knew the result, the caller just needed more than the result.
     cache_hits_unused: int = 0
+    #: answered by the local-search witness tier (also counted in fast_path)
+    search_witnesses: int = 0
     per_query_conflicts: list[int] = field(default_factory=list)
 
     def merge(self, other: "QueryStats") -> None:
@@ -87,6 +106,7 @@ class QueryStats:
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.cache_hits_unused += other.cache_hits_unused
+        self.search_witnesses += other.search_witnesses
         self.per_query_conflicts.extend(other.per_query_conflicts)
 
 
@@ -104,7 +124,7 @@ class Model:
 
 
 class _ZeroEnv(dict):
-    """A total environment: every variable reads as 0 (False for booleans)."""
+    """A total environment: unlisted variables read as 0 (False for booleans)."""
 
     def __contains__(self, key) -> bool:
         return True
@@ -113,34 +133,38 @@ class _ZeroEnv(dict):
         return 0
 
 
-_ZERO_ENV = _ZeroEnv()
-
-
 def _zero_select(array: str, offset: int, width: int) -> int:
     return 0
 
 
-class TrivialModel(Model):
-    """All-zeros model for goals that simplify to a constant ``true``.
+class AssignmentModel(Model):
+    """A model backed by a concrete assignment instead of a SAT run.
 
-    Any assignment satisfies such a goal, so the all-zeros one is a valid
-    witness; terms are read through concrete evaluation instead of a SAT
-    assignment (``check_sat(..., need_model=True)`` guarantees callers can
-    always read ``last_model`` on SAT, even on the simplification fast path).
+    ``values`` maps variable names to values and ``reads`` maps
+    ``(array, offset, width)`` to what that memory read returns; every
+    variable and read not listed is 0 (False for booleans).  Terms are read
+    through concrete evaluation.  The witness tiers hand out one of these,
+    and a goal that simplifies to ``true`` gets the all-zero one (every
+    assignment satisfies it), so ``check_sat(..., need_model=True)`` can
+    always populate ``last_model`` on SAT, whichever tier answered.
     """
 
-    def __init__(self):
-        pass
+    def __init__(
+        self,
+        values: dict[str, int | bool] | None = None,
+        reads: dict[tuple[str, int, int], int] | None = None,
+    ):
+        self.values = values or {}
+        self.reads = reads or {}
+
+    def _read(self, array: str, offset: int, width: int) -> int:
+        return self.reads.get((array, offset, width), 0)
 
     def eval_bv(self, term: Term) -> int:
-        from repro.smt.eval import evaluate
-
-        return int(evaluate(term, _ZERO_ENV, _zero_select))
+        return int(concrete.evaluate(term, _ZeroEnv(self.values), self._read))
 
     def eval_bool(self, term: Term) -> bool:
-        from repro.smt.eval import evaluate
-
-        return bool(evaluate(term, _ZERO_ENV, _zero_select))
+        return bool(concrete.evaluate(term, _ZeroEnv(self.values), self._read))
 
 
 def _fingerprint(*parts) -> int:
@@ -154,21 +178,22 @@ def _fingerprint(*parts) -> int:
     return zlib.crc32(data) | (zlib.crc32(data[::-1]) << 32)
 
 
-def _random_witness(goal: Term, attempts: int = 4) -> bool:
-    """Try a few deterministic pseudo-random assignments; True iff one
-    satisfies ``goal`` (a sound SAT witness).  Never returns a wrong
-    answer — failure just falls through to the SAT solver."""
-    from repro.smt.eval import EvalError, evaluate
-
+def _random_witness(goal: Term, attempts: int = 4) -> AssignmentModel | None:
+    """Try a few deterministic pseudo-random assignments; return the first
+    that satisfies ``goal`` (a sound SAT witness), or None.  Never returns
+    a wrong answer — failure just falls through to the next tier."""
     variables = t.free_vars(goal)
     if len(variables) > 64:
-        return False
+        return None
 
     def select_handler(array: str, offset: int, width: int) -> int:
-        return _fingerprint(array, offset, seed) & t.mask(width)
+        value = _fingerprint(array, offset, seed) & t.mask(width)
+        reads[(array, offset, width)] = value
+        return value
 
     for seed in range(attempts):
-        env = {}
+        env: dict[str, int | bool] = {}
+        reads: dict[tuple[str, int, int], int] = {}
         for var in variables:
             fingerprint = _fingerprint(var.name, seed)
             if var.sort is t.BOOL:
@@ -180,11 +205,161 @@ def _random_witness(goal: Term, attempts: int = 4) -> bool:
             else:
                 env[var.name] = fingerprint & t.mask(var.width)
         try:
-            if evaluate(goal, env, select_handler) is True:
-                return True
-        except EvalError:
+            if concrete.evaluate(goal, env, select_handler) is True:
+                return AssignmentModel(env, reads)
+        except concrete.EvalError:
             continue  # a later assignment may avoid the failing path
-    return False
+    return None
+
+
+#: candidate moves :func:`_search_witness` may score for one goal
+SEARCH_MOVE_BUDGET = 400
+
+
+def _search_witness(goal: Term) -> AssignmentModel | None:
+    """Greedy local search for a satisfying assignment (tier 6).
+
+    The search starts with every variable at 0 (False).  Each move sets one
+    variable to the candidate value that makes the most top-level conjuncts
+    true.  A boolean's only candidate is its negation; a bitvector's are 0,
+    1, all ones, ``2^(w-1)``, ``2^(w-1)-1`` and every constant ``c`` of the
+    goal with ``c ± 1``.  A move is scored by re-evaluating only the nodes
+    above the moved variable, memory reads returning 0.  The search stops
+    when every conjunct holds, when no move raises the count, or after
+    :data:`SEARCH_MOVE_BUDGET` scored moves.
+
+    Variables are visited in name order, candidates in value order, and the
+    score is a count, so the answer is a pure function of the goal's
+    structure and variable names, never of interning order.  Like
+    :func:`_random_witness` it only ever answers SAT; None falls through.
+    """
+    conjuncts = goal.args if goal.op == "and" else (goal,)
+    # Post-order over the DAG (every node after its arguments); nodes are
+    # named by their position in it from here on.
+    order: list[Term] = []
+    seen: set[Term] = set()
+    stack: list[tuple[Term, bool]] = [(goal, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((arg, False) for arg in node.args)
+    position = {node: index for index, node in enumerate(order)}
+    arg_ids = [tuple(position[arg] for arg in node.args) for node in order]
+    parents: list[list[int]] = [[] for _ in order]
+    for index, ids in enumerate(arg_ids):
+        for arg in ids:
+            parents[arg].append(index)
+    variables = sorted(
+        (index for index, node in enumerate(order) if node.is_var()),
+        key=lambda index: order[index].name,
+    )
+    names = [order[index].name for index in variables]
+    if len(set(names)) != len(names):
+        return None  # one name at two sorts: name order would not be total
+    constants = {node.value for node in order if node.op == "bvconst"}
+    conjunct_ids = {position[node] for node in conjuncts}
+    plan = []
+    for var in variables:
+        above = {var}
+        frontier = [var]
+        while frontier:
+            for parent in parents[frontier.pop()]:
+                if parent not in above:
+                    above.add(parent)
+                    frontier.append(parent)
+        cone = sorted(above)
+        affected = [index for index in cone if index in conjunct_ids]
+        plan.append(
+            (order[var].name, cone, affected, _candidates(order[var], constants))
+        )
+
+    env: dict[str, int | bool] = {
+        order[var].name: False if order[var].sort is t.BOOL else 0
+        for var in variables
+    }
+    values: list[int | bool] = []
+
+    def settle(cone: list[int]) -> list[tuple[int, int | bool]]:
+        """Re-evaluate the nodes of ``cone`` (in post-order) that a changed
+        argument reaches; returns ``(node, old value)`` for each change."""
+        undo = []
+        changed: set[int] = set()
+        for index in cone:
+            ids = arg_ids[index]
+            if ids and changed.isdisjoint(ids):
+                continue
+            old = values[index]
+            new = concrete.eval_node(
+                order[index], [values[arg] for arg in ids], env, _zero_select
+            )
+            if new != old:
+                values[index] = new
+                changed.add(index)
+                undo.append((index, old))
+        return undo
+
+    try:
+        for node, ids in zip(order, arg_ids):
+            args = [values[arg] for arg in ids]
+            values.append(concrete.eval_node(node, args, env, _zero_select))
+    except concrete.EvalError:
+        return None
+    total = len(conjunct_ids)
+    score = sum(values[index] is True for index in conjunct_ids)
+    budget = SEARCH_MOVE_BUDGET
+    while score < total:
+        best_score, best_move = score, None
+        for name, cone, affected, candidates in plan:
+            current = env[name]
+            held = sum(values[index] is True for index in affected)
+            for value in candidates or (not current,):
+                if value == current:
+                    continue
+                if budget == 0:
+                    return None
+                budget -= 1
+                env[name] = value
+                undo = settle(cone)
+                trial = score - held + sum(values[index] is True for index in affected)
+                if trial == total:
+                    return _confirmed(goal, env)
+                if trial > best_score:
+                    best_score, best_move = trial, (name, value, cone)
+                for index, old in undo:
+                    values[index] = old
+            env[name] = current
+        if best_move is None:
+            return None
+        name, value, cone = best_move
+        env[name] = value
+        settle(cone)
+        score = best_score
+    return _confirmed(goal, env)
+
+
+def _candidates(var: Term, constants: set[int]) -> list[int] | None:
+    """Sorted candidate values of a bitvector variable; None for a boolean
+    (whose one candidate, its negation, depends on its current value)."""
+    if var.sort is t.BOOL:
+        return None
+    width = var.width
+    top = t.mask(width)
+    half = 1 << (width - 1)
+    values = {0, 1, top, half, half - 1}
+    for constant in constants:
+        values.update(((constant - 1) & top, constant & top, (constant + 1) & top))
+    return sorted(values)
+
+
+def _confirmed(goal: Term, env: dict[str, int | bool]) -> AssignmentModel | None:
+    """The assignment as a model if a full evaluation makes ``goal`` true."""
+    if concrete.evaluate(goal, env, _zero_select) is True:
+        return AssignmentModel(env)
+    return None
 
 
 def _skeleton_unsat(goal: Term) -> bool:
@@ -358,7 +533,8 @@ class Solver:
         """Decide satisfiability of a formula (or conjunction of formulas).
 
         ``need_model=True`` guarantees ``last_model`` is populated on SAT
-        (the memo and random-witness shortcuts answer SAT without one).
+        (the memo and the shared cache hold no model, so a SAT answer from
+        them is passed over; the witness tiers hand out their assignment).
         """
         if isinstance(formula, Term):
             goal = formula
@@ -413,20 +589,14 @@ class Solver:
             if need_model:
                 # The goal holds under every assignment; hand out an explicit
                 # witness so callers can always read a model on SAT.
-                self.last_model = TrivialModel()
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return Result.SAT
+                self.last_model = AssignmentModel()
+            return self._answered(Result.SAT, started)
         if goal is t.FALSE:
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return Result.UNSAT
+            return self._answered(Result.UNSAT, started)
         cached = self._memo.get(goal)
         if cached is not None and not (need_model and cached is Result.SAT):
             # Memo hit: no model is reconstructed (KEQ never reads models).
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return cached
+            return self._answered(cached, started)
         if self.cache is not None:
             if cached is not None:
                 # The memo held the answer but a model was requested; the
@@ -439,32 +609,54 @@ class Solver:
                     if not (need_model and shared is Result.SAT):
                         self._memo[goal] = shared
                         self.stats.cache_hits += 1
-                        self.stats.fast_path += 1
-                        self.stats.time_seconds += time.perf_counter() - started
-                        return shared
+                        return self._answered(shared, started)
                     self.stats.cache_hits_unused += 1
                 else:
                     self.stats.cache_misses += 1
-        if not need_model and _random_witness(goal):
-            # A concrete assignment satisfies the formula: SAT without
-            # touching the SAT solver.  This discharges most feasibility
-            # checks, including multiplication-heavy ones that are
-            # expensive to bit-blast.
-            self._memo[goal] = Result.SAT
-            self._share(goal, Result.SAT, cost=0)
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return Result.SAT
+        # A concrete assignment satisfies the formula: SAT without touching
+        # the SAT solver.  This discharges most feasibility checks,
+        # including multiplication-heavy ones that are expensive to
+        # bit-blast.
+        witness = _random_witness(goal)
+        if witness is not None:
+            return self._witnessed(goal, witness, need_model, started)
         # Boolean-skeleton check, strengthened with the comparison-theory
         # lemmas *at the atom level*: UNSATness that follows from branch
         # structure plus trichotomy never needs arithmetic bit-blasting.
         if _skeleton_unsat(t.and_(goal, _comparison_lemmas(goal))):
             self._memo[goal] = Result.UNSAT
             self._share(goal, Result.UNSAT, cost=0)
-            self.stats.fast_path += 1
-            self.stats.time_seconds += time.perf_counter() - started
-            return Result.UNSAT
+            return self._answered(Result.UNSAT, started)
+        witness = _search_witness(goal)
+        if witness is not None:
+            self.stats.search_witnesses += 1
+            return self._witnessed(goal, witness, need_model, started)
         return None
+
+    def _answered(self, result: Result, started: float) -> Result:
+        """Tally a query one of the fast-path tiers answered."""
+        self.stats.fast_path += 1
+        self.stats.time_seconds += time.perf_counter() - started
+        return result
+
+    def _witnessed(
+        self,
+        goal: Term,
+        witness: AssignmentModel,
+        need_model: bool,
+        started: float,
+    ) -> Result:
+        """Answer SAT from a witness tier's satisfying assignment.
+
+        The witness tiers are pure functions of the goal, so their answers
+        may be shared at cost 0: an uncached run finds the same witness
+        under any budget.
+        """
+        if need_model:
+            self.last_model = witness
+        self._memo[goal] = Result.SAT
+        self._share(goal, Result.SAT, cost=0)
+        return self._answered(Result.SAT, started)
 
     def _share(self, goal: Term, result: Result, cost: int) -> None:
         if self.cache is not None:

@@ -223,3 +223,38 @@ class TestPrefixConflictLearning:
         assert solver.solve(assumptions=[a]) is SatResult.SAT
         assert solver.model_value(b) is False  # the parked unit stuck
         assert solver.model_value(u) is True
+
+
+class TestHeapCompaction:
+    """The lazy VSIDS heap is rebuilt once stale entries make it outgrow
+    twice the variable count; the rebuild must never change a decision."""
+
+    VARS = 50
+
+    def _session(self):
+        """A fixed incremental session over a random 3-CNF whose checks
+        mostly end UNSAT under their assumptions (37 of 40)."""
+        import random
+
+        rng = random.Random(7)
+        solver = SatSolver()
+        for _ in range(190):
+            chosen = rng.sample(range(1, self.VARS + 1), 3)
+            solver.add_clause([v if rng.random() < 0.5 else -v for v in chosen])
+        results, cores, peak = [], [], 0
+        for _ in range(40):
+            chosen = rng.sample(range(1, self.VARS + 1), 8)
+            assumptions = [v if rng.random() < 0.5 else -v for v in chosen]
+            results.append(solver.solve(assumptions=assumptions))
+            cores.append(solver.core)
+            peak = max(peak, len(solver._heap))
+        return results, cores, solver.stats, peak
+
+    def test_compaction_bounds_heap_without_changing_search(self, monkeypatch):
+        results, cores, stats, peak = self._session()
+        assert results.count(SatResult.UNSAT) > 30
+        assert peak <= 2 * self.VARS
+        monkeypatch.setattr(SatSolver, "_compact_heap", lambda self: None)
+        lazy_results, lazy_cores, lazy_stats, lazy_peak = self._session()
+        assert lazy_peak > 4 * self.VARS  # the session does grow the heap
+        assert (lazy_results, lazy_cores, lazy_stats) == (results, cores, stats)

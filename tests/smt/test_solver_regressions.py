@@ -85,7 +85,7 @@ class TestCacheMissAccounting:
 
 class TestRandomWitnessRecovery:
     """_random_witness must try the next seed after an EvalError, not give
-    up on all remaining assignments."""
+    up on all remaining assignments (it returns the assignment, or None)."""
 
     def test_later_seed_tried_after_eval_error(self, monkeypatch):
         goal = t.eq(t.bv_var("rw", 8), t.bv_const(1, 8))
@@ -105,7 +105,9 @@ class TestRandomWitnessRecovery:
         monkeypatch.setattr(eval_mod, "evaluate", flaky_evaluate)
         # Seed 1 assigns 1 to every bitvector variable, satisfying rw == 1;
         # before the fix the injected seed-0 failure aborted the search.
-        assert solver_mod._random_witness(goal) is True
+        witness = solver_mod._random_witness(goal)
+        assert witness is not None
+        assert witness.values == {"rw": 1}
         assert len(calls) >= 2
 
     def test_all_seeds_failing_is_still_false(self, monkeypatch):
@@ -116,7 +118,7 @@ class TestRandomWitnessRecovery:
 
         monkeypatch.setattr(eval_mod, "evaluate", always_fails)
         goal = t.eq(t.bv_var("rw2", 8), t.bv_const(1, 8))
-        assert solver_mod._random_witness(goal) is False
+        assert solver_mod._random_witness(goal) is None
 
 
 class TestStoreRefreshesRecency:
